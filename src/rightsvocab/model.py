@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 _IRI_FORBIDDEN = re.compile(r"[\s<>]")
@@ -95,16 +95,23 @@ def triple_sort_key(t: Triple) -> tuple:
 
 
 class Graph:
-    """An immutable, duplicate-free set of triples."""
+    """An immutable, duplicate-free set of triples, indexed by subject.
 
-    __slots__ = ("_triples",)
+    ``subjects``, ``triples_about`` and ``objects`` read the subject index,
+    so a lookup costs O(triples of that subject), not O(triples).
+    """
+
+    __slots__ = ("_triples", "_by_subject")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         ts = frozenset(triples)
+        by_subject: dict[SubjectTerm, list[Triple]] = {}
         for t in ts:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a Triple: {t!r}")
+            by_subject.setdefault(t.subject, []).append(t)
         object.__setattr__(self, "_triples", ts)
+        object.__setattr__(self, "_by_subject", by_subject)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -131,17 +138,15 @@ class Graph:
         return sorted(self._triples, key=triple_sort_key)
 
     def subjects(self) -> set[SubjectTerm]:
-        return {t.subject for t in self._triples}
+        return set(self._by_subject)
 
     def triples_about(self, subject: SubjectTerm) -> list[Triple]:
-        return sorted(
-            (t for t in self._triples if t.subject == subject), key=triple_sort_key
-        )
+        return sorted(self._by_subject.get(subject, ()), key=triple_sort_key)
 
     def objects(self, subject: SubjectTerm, predicate: Iri) -> list[Term]:
         return sorted(
-            (t.object for t in self._triples
-             if t.subject == subject and t.predicate == predicate),
+            (t.object for t in self._by_subject.get(subject, ())
+             if t.predicate == predicate),
             key=term_sort_key,
         )
 

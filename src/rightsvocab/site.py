@@ -7,7 +7,6 @@ holds the concept-scheme overview in the same three families.
 
 from __future__ import annotations
 
-import datetime
 import html as html_mod
 import itertools
 from dataclasses import dataclass, field
@@ -16,8 +15,8 @@ from typing import Optional
 
 from .jsonld import serialize_jsonld
 from .model import BlankNode, Graph, Iri, Literal, Triple
-from .namespaces import DC11, DCTERMS, NAMESPACE_TABLE, ODRL, PREMISCOPY, RDF_TYPE, SKOS
-from .turtle import parse_turtle, serialize_turtle
+from .namespaces import NAMESPACE_TABLE, ODRL, RDF_TYPE, SKOS
+from .turtle import serialize_turtle
 from .uris import DEFAULT_CONFIG, NamespaceConfig, build_statement_uri
 from .vocab import (
     CONCEPT_SCHEME_CLASS,
@@ -52,7 +51,6 @@ class SiteEntry:
 @dataclass
 class SiteManifest:
     entries: dict[str, SiteEntry] = field(default_factory=dict)
-    generated_at: str = ""
 
     def add(self, path: str, content: str, media_type: str,
             language: Optional[str] = None) -> None:
@@ -112,10 +110,9 @@ def vocabulary_to_graph(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) ->
     triples = [Triple(v.scheme_uri, Iri(RDF_TYPE), CONCEPT_SCHEME_CLASS)]
     for lang, text in v.title.items():
         triples.append(Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)))
-    g = Graph(triples)
     for key in sorted(v.statements):
-        g = g.union(record_to_graph(v.statements[key], cfg, counter))
-    return g
+        triples.extend(record_to_graph(v.statements[key], cfg, counter))
+    return Graph(triples)
 
 
 def statement_dir(r: StatementRecord) -> str:
@@ -240,9 +237,7 @@ def render_overview_html(
 
 
 def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteManifest:
-    manifest = SiteManifest(
-        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
+    manifest = SiteManifest()
     counter = itertools.count()
     all_langs: set[str] = set(v.title) | {"en"}
     for key in sorted(v.statements):

@@ -27,6 +27,11 @@ class TurtleSyntaxError(ValueError):
 
 _PNAME = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9][A-Za-z0-9_.-]*)?$")
 _LOCAL_OK = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
+# Matched at a position in the whole text: matching a slice ``text[i:]``
+# would copy the rest of the document for every token.
+_AT_WORD = re.compile(r"@([A-Za-z][A-Za-z0-9-]*)")
+_BNODE_LABEL = re.compile(r"_:([A-Za-z0-9][A-Za-z0-9_-]*)")
+_WORD = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*:?[A-Za-z0-9_.-]*|:")
 
 
 class _Token:
@@ -101,7 +106,7 @@ def _tokenize(text: str) -> list[_Token]:
             i = j + 1
             continue
         if ch == "@":
-            m = re.match(r"@([A-Za-z][A-Za-z0-9-]*)", text[i:])
+            m = _AT_WORD.match(text, i)
             if not m:
                 raise err("bad @ token")
             word = m.group(1)
@@ -111,8 +116,8 @@ def _tokenize(text: str) -> list[_Token]:
                 raise err("@base is not supported")
             else:
                 tokens.append(_Token("langtag", word, start_line, start_col))
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
         if text[i : i + 2] == "^^":
             tokens.append(_Token("^^", "^^", start_line, start_col))
@@ -127,14 +132,14 @@ def _tokenize(text: str) -> list[_Token]:
         if ch in "()":
             raise err("RDF collections are not supported")
         if text[i : i + 2] == "_:":
-            m = re.match(r"_:([A-Za-z0-9][A-Za-z0-9_-]*)", text[i:])
+            m = _BNODE_LABEL.match(text, i)
             if not m:
                 raise err("bad blank node label")
             tokens.append(_Token("bnode", m.group(1), start_line, start_col))
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
-        m = re.match(r"[A-Za-z0-9_][A-Za-z0-9_.-]*:?[A-Za-z0-9_.-]*|:", text[i:])
+        m = _WORD.match(text, i)
         if m:
             word = m.group(0)
             if word == "a":
@@ -147,8 +152,8 @@ def _tokenize(text: str) -> list[_Token]:
                 tokens.append(_Token("pname", word, start_line, start_col))
             else:
                 raise err(f"unexpected token {word!r}")
-            i += m.end()
-            col += m.end()
+            col += m.end() - i
+            i = m.end()
             continue
         raise err(f"unexpected character {ch!r}")
     return tokens

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import datetime
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal, Term, Triple
+from .model import BlankNode, Graph, Iri, Literal
 from .namespaces import CC, DC11, DCTERMS, EDM, ODRL_ALIASES, RDF_TYPE, SKOS
 from .uris import (
     DEFAULT_CONFIG,
@@ -80,19 +79,6 @@ class StatementRecord:
     permissions: tuple[PermissionSpec, ...] = ()
     notes: dict[str, str] = field(default_factory=dict)
     jurisdiction: Optional[str] = None
-
-    def __eq__(self, other):
-        if not isinstance(other, StatementRecord):
-            return NotImplemented
-        return (
-            self.uri, self.identifier, self.pref_labels, self.definitions,
-            self.creator, self.version, self.modified, self.matches,
-            self.permissions, self.notes, self.jurisdiction,
-        ) == (
-            other.uri, other.identifier, other.pref_labels, other.definitions,
-            other.creator, other.version, other.modified, other.matches,
-            other.permissions, other.notes, other.jurisdiction,
-        )
 
     def languages(self) -> list[str]:
         return sorted(self.pref_labels)

@@ -72,6 +72,42 @@ def test_rebuild_is_byte_identical(tmp_path):
     assert _tree_checksums(a) == _tree_checksums(b)
 
 
+# sha256 of every file that `build` writes for the fixture vocabulary. Builds
+# promise byte-identical output across refactors, so any change to these
+# digests is a change to the published documents and must be deliberate.
+FIXTURE_SITE_SHA256 = {
+    "rs/data.jsonld": "881c47e02a7c56a7f63d4b2341ff243b2bec0af5988b548efc0fa0d01c0d559c",
+    "rs/data.ttl": "2df02ff482dce7e1cda0070c8fe13d3b7d66123925a67b57b70e78f417263078",
+    "rs/ic/1.0/data.jsonld": "12575ac2391617df1e5a8494b90128b20b4b1142383c3f8467fa20eccfb5030b",
+    "rs/ic/1.0/data.ttl": "d1d09b7393b04837cd0a59f7cb59c543cb6a088e12e58b814356519041b67e18",
+    "rs/ic/1.0/index.en.html": "e21a86447626f7c05d32d660ede29e0a5a77c1cdecfd16754f49aab019ab7543",
+    "rs/ic/1.0/index.nl.html": "5641907cd2f3003c203e8db7499ca0dba12aa93b31db57b212b8b91f8b914091",
+    "rs/ic-edu/1.0/data.jsonld": "e99305712af2825111fc983d71db3f2222b8280ab58ff87943bc79fa8ec32a0a",
+    "rs/ic-edu/1.0/data.ttl": "41a0ce2aa5e027a2a0c858836de0a30970e63abaa1352409ad318d9ca72fd2e2",
+    "rs/ic-edu/1.0/index.en.html": "24bffccd1f45b356d1939398c888afba2c7937b06b7b80086a49545acc5ce722",
+    "rs/ic-edu/1.0/index.nl.html": "349f226e766eba2b3230b9d18bd05d46c490e953bea06803b459ffa14e27bbdd",
+    "rs/index.en.html": "11d764dabcef454c8b13d26f934ff39bb937470f060970dbb27366c76513036a",
+    "rs/index.nl.html": "8d6ba25fd2264ac0221881f18e4a121cd4ea81b8e9aec3726df1d2467ec9669e",
+    "rs/pd/1.0/US/data.jsonld": "c5454ca9c9123ef88955940cd9ca0ee36156126322b2e172cad74118b46348c3",
+    "rs/pd/1.0/US/data.ttl": "774ba7732adc5e7010075e28f9bc23311d3ad2caa65119fb2c750da960510a5f",
+    "rs/pd/1.0/US/index.en.html": "c69f6dd759cac48bf28100a8d784f7de8ba66c00649d23d11fdc901f65338965",
+    "rs/pd/1.0/US/index.nl.html": "3b81f38d6bce420b815da124d1695cd72c971b74b38837ba87885522967307b8",
+    "rs/pd/1.0/data.jsonld": "1066a949315c1bed659a19cc8870e8cc058241ab5f008be3141e80dca602c501",
+    "rs/pd/1.0/data.ttl": "eed31f8582c1be012cb8b9ab59a83f593919242a75f2a23071d70714d3f3218a",
+    "rs/pd/1.0/index.en.html": "d194556616949fbc2af4e88f40861bcaee0e8715e62b257ecf8a32fe13ff2e39",
+    "rs/pd/1.0/index.nl.html": "72e25bc128887d1d3ac522b7db8e8f9c3a66e42aaa6498c86cb185763a10708c",
+    "rs/pd/2.0/data.jsonld": "5805b8acdd49d99ed2bc3def61b17dbf87e00ade3f84ce80ce7e823669bde5bd",
+    "rs/pd/2.0/data.ttl": "598d9ac9ced70ad128211f584857587cdaad039f74a371e639d60241b2aaf4e3",
+    "rs/pd/2.0/index.en.html": "953d88c983e409f83e1401664289918c9132c571f013ef8025dcf77cac56b338",
+    "rs/pd/2.0/index.nl.html": "ec389ad6d80fd58d05d275fd08bd91cb41b9987e02816a058c5a91ac3343cf40",
+}
+
+
+def test_fixture_site_matches_pinned_digests(tmp_path):
+    assert main(["build", VOCAB, "--out", str(tmp_path / "site")]) == 0
+    assert _tree_checksums(tmp_path / "site") == FIXTURE_SITE_SHA256
+
+
 def test_build_unwritable_out_dir_is_exit_2(tmp_path, capsys):
     # a regular file where a directory is needed makes the tree unwritable
     blocked = tmp_path / "blocked"

@@ -97,6 +97,15 @@ def test_unterminated_literal_reports_position():
         parse_turtle(f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> \"oops .")
 
 
+def test_error_column_counts_words_labels_and_lang_tags():
+    # the ")" is in column 17, after a blank node, a prefixed name and a
+    # language tag on the same line
+    text = f'@prefix ex: <{EX}> .\n_:b ex:p "x"@en ) .'
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(text)
+    assert (exc.value.line, exc.value.col) == (2, 17)
+
+
 def test_collections_rejected():
     with pytest.raises(TurtleSyntaxError, match="collections"):
         parse_turtle(f"<{EX}s> <{EX}p> (1 2) .")
