@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .model import normalize_lang
-from .site import generate_site, load_manifest_from_dir, write_manifest
+from .site import SiteManifest, generate_site, write_manifest
 from .server import NegotiationServer, Snapshot
 from .turtle import TurtleSyntaxError, parse_turtle
 from .uris import NamespaceConfig
@@ -148,24 +148,43 @@ def run_check(objects_path: str, vocab_path: str, cfg: CliConfig) -> int:
 
 
 def build_snapshot(path: str, cfg: CliConfig) -> Snapshot:
-    p = Path(path)
-    if p.is_dir():
-        manifest = load_manifest_from_dir(p)
-        vocab_entry = manifest.entries.get("rs/data.ttl")
-        if vocab_entry is None:
-            raise CliError(f"{path} has no rs/data.ttl", EXIT_ENV)
-        vocab, report = load_vocabulary(
-            parse_turtle(vocab_entry.content.decode("utf-8")), cfg.namespace()
-        )
-    else:
-        vocab, report = _load(path, cfg)
-        if not report.accepted:
-            raise CliError(f"{path} failed validation", EXIT_ENV)
-        manifest = generate_site(vocab, cfg.namespace())
+    """Generate the served tree from a vocabulary file or from a built
+    site's ``rs/data.ttl``; a site directory must hold exactly that tree."""
+    site_dir = Path(path) if Path(path).is_dir() else None
+    vocab_path = str(site_dir / "rs" / "data.ttl") if site_dir else path
+    vocab, report = _load(vocab_path, cfg)
+    if not report.accepted:
+        raise CliError(f"{vocab_path} failed validation", EXIT_ENV)
+    manifest = generate_site(vocab, cfg.namespace())
+    if site_dir:
+        _check_tree(site_dir, manifest)
     return Snapshot(
         manifest=manifest, vocabulary=vocab,
         cfg=cfg.namespace(), default_lang=cfg.default_lang,
     )
+
+
+def _check_tree(site_dir: Path, manifest: SiteManifest) -> None:
+    expected = manifest.entries
+    try:
+        found = {
+            p.relative_to(site_dir).as_posix(): p
+            for p in site_dir.rglob("*") if p.is_file()
+        }
+        drift = [f"missing {rel}" for rel in sorted(expected.keys() - found.keys())]
+        drift += [f"extra {rel}" for rel in sorted(found.keys() - expected.keys())]
+        drift += [
+            f"changed {rel}" for rel in sorted(expected.keys() & found.keys())
+            if found[rel].read_bytes() != expected[rel].content
+        ]
+    except OSError as exc:
+        raise CliError(f"cannot read {site_dir}: {exc}", EXIT_ENV)
+    if drift:
+        raise CliError(
+            f"{site_dir} differs from the site its rs/data.ttl generates:\n  "
+            + "\n  ".join(drift),
+            EXIT_ENV,
+        )
 
 
 def run_serve(path: str, host: str, port: int, cfg: CliConfig) -> int:

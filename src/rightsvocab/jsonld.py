@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 
-from .model import BlankNode, Graph, Iri, Literal, Term
+from .model import BlankNode, Graph, Iri, Literal, Term, display_names
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
-from .turtle import _display_names
 
 
 def _compact(iri: str) -> str:
@@ -36,7 +35,7 @@ def _object_json(term: Term, names) -> object:
 
 
 def serialize_jsonld(g: Graph) -> str:
-    names = _display_names(g)
+    names = display_names(g)
     nodes: dict[str, dict] = {}
     for t in g.sorted_triples():
         node = nodes.setdefault(_node_id(t.subject, names), {})

@@ -152,3 +152,13 @@ class Graph:
 
     def union(self, other: "Graph") -> "Graph":
         return Graph(self._triples | other._triples)
+
+
+def display_names(g: Graph) -> dict[BlankNode, str]:
+    """Renumber blank nodes by first appearance in sorted triple order."""
+    names: dict[BlankNode, str] = {}
+    for t in g.sorted_triples():
+        for term in (t.subject, t.object):
+            if isinstance(term, BlankNode) and term not in names:
+                names[term] = f"b{len(names)}"
+    return names

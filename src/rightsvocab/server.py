@@ -2,14 +2,15 @@
 
 Abstract statement URIs never answer 200: they 303 to a concrete
 document selected by Accept and Accept-Language.  Unacceptable Accept
-headers fall back to HTML rather than 406.
+headers fall back to HTML rather than 406.  Query strings are ignored,
+and every method other than GET and HEAD gets 405.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -18,7 +19,7 @@ from .uris import DEFAULT_CONFIG, NamespaceConfig
 from .vocab import Vocabulary, lookup_statement
 
 SUPPORTED_TYPES = ("text/html", "text/turtle", "application/ld+json")
-VARY = ("Accept", "Accept-Language")
+VARY = "Accept, Accept-Language"
 
 _Q_RE = re.compile(r"^q=(\d(?:\.\d{0,3})?)$")
 
@@ -151,7 +152,6 @@ class NegotiationDecision:
     location: Optional[str] = None
     media_type: Optional[str] = None
     content_language: Optional[str] = None
-    vary: tuple[str, ...] = VARY
 
     def __post_init__(self):
         if self.status == 303 and not self.location:
@@ -222,6 +222,7 @@ def handle_request(
     headers = {k.lower(): v for k, v in headers.items()}
     if method not in ("GET", "HEAD"):
         return 405, [("Allow", "GET, HEAD"), ("Content-Length", "0")], b""
+    path = path.partition("?")[0]
 
     decision = negotiate(
         path,
@@ -232,7 +233,7 @@ def handle_request(
         snapshot.cfg,
         snapshot.default_lang,
     )
-    out = [("Vary", ", ".join(decision.vary))]
+    out = [("Vary", VARY)]
     body = b""
     if decision.status == 303:
         out.append(("Location", "/" + decision.location))
@@ -255,34 +256,44 @@ class NegotiationServer:
     """Stateless HTTP front end over an immutable snapshot."""
 
     def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
-        self._snapshot = snapshot
-        self._lock = threading.Lock()
-        outer = self
-
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
+            def __getattr__(self, name):
+                # every do_<METHOD> lands here, so no method gets the stdlib 501
+                if name.startswith("do_"):
+                    return self._respond
+                raise AttributeError(name)
+
             def _respond(self):
-                with outer._lock:
-                    snap = outer._snapshot
+                keep_alive = self._discard_body()
                 status, headers, body = handle_request(
-                    self.command, self.path, dict(self.headers.items()), snap
+                    self.command, self.path, dict(self.headers.items()), snapshot
                 )
                 self.send_response(status)
                 for k, v in headers:
                     self.send_header(k, v)
+                if not keep_alive:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 if body:
                     self.wfile.write(body)
 
-            do_GET = _respond
-            do_HEAD = _respond
-
-            def do_POST(self):
-                self._respond()
-
-            do_PUT = do_POST
-            do_DELETE = do_POST
+            def _discard_body(self) -> bool:
+                """Read a declared body off the connection so that its bytes
+                are not parsed as the next request; False when its length is
+                unknown or malformed and the connection must close."""
+                lengths = self.headers.get_all("Content-Length", ["0"])
+                if ("Transfer-Encoding" in self.headers or len(lengths) != 1
+                        or not re.fullmatch(r"[0-9]+", lengths[0].strip())):
+                    return False
+                remaining = int(lengths[0])
+                while remaining:
+                    chunk = self.rfile.read(min(remaining, 65536))
+                    if not chunk:
+                        return False
+                    remaining -= len(chunk)
+                return True
 
             def log_message(self, *args):
                 pass
@@ -292,10 +303,6 @@ class NegotiationServer:
     @property
     def address(self) -> tuple[str, int]:
         return self.httpd.server_address[:2]
-
-    def replace_snapshot(self, snapshot: Snapshot) -> None:
-        with self._lock:
-            self._snapshot = snapshot
 
     def serve_forever(self) -> None:
         self.httpd.serve_forever()

@@ -34,13 +34,6 @@ from .vocab import (
     Vocabulary,
 )
 
-MEDIA_TYPES = {
-    ".ttl": "text/turtle",
-    ".jsonld": "application/ld+json",
-    ".html": "text/html",
-}
-
-
 @dataclass(frozen=True)
 class SiteEntry:
     content: bytes
@@ -274,24 +267,3 @@ def write_manifest(manifest: SiteManifest, out_dir: Path) -> int:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(entry.content)
     return len(manifest.entries)
-
-
-def load_manifest_from_dir(site_dir: Path) -> SiteManifest:
-    site_dir = Path(site_dir)
-    manifest = SiteManifest()
-    for path in sorted(site_dir.rglob("*")):
-        if not path.is_file():
-            continue
-        suffix = path.suffix
-        if suffix not in MEDIA_TYPES:
-            continue
-        rel = path.relative_to(site_dir).as_posix()
-        language = None
-        if suffix == ".html":
-            parts = path.name.split(".")
-            if len(parts) == 3 and parts[0] == "index":
-                language = parts[1]
-        manifest.entries[rel] = SiteEntry(
-            path.read_bytes(), MEDIA_TYPES[suffix], language
-        )
-    return manifest

@@ -14,7 +14,9 @@ import itertools
 import re
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal, Term, Triple, term_sort_key
+from .model import (
+    BlankNode, Graph, Iri, Literal, Term, Triple, display_names, term_sort_key,
+)
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
@@ -335,16 +337,6 @@ def _shrink_iri(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
-def _display_names(g: Graph) -> dict[BlankNode, str]:
-    """Renumber blank nodes by first appearance in sorted triple order."""
-    names: dict[BlankNode, str] = {}
-    for t in g.sorted_triples():
-        for term in (t.subject, t.object):
-            if isinstance(term, BlankNode) and term not in names:
-                names[term] = f"b{len(names)}"
-    return names
-
-
 def _inlinable(g: Graph) -> set[BlankNode]:
     """Blank nodes referenced exactly once as object and free of cycles."""
     as_object: dict[BlankNode, int] = {}
@@ -370,7 +362,7 @@ def _inlinable(g: Graph) -> set[BlankNode]:
 
 def serialize_turtle(g: Graph) -> str:
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items()]
-    names = _display_names(g)
+    names = display_names(g)
     inline = _inlinable(g)
 
     def term_str(term: Term, indent: int) -> str:

@@ -73,25 +73,19 @@ class StatementUri:
 @dataclass(frozen=True)
 class NamespaceConfig:
     base: str = "http://rightsstatements.org"
-    resource_segment: str = "rs"
-    purpose_segment: str = "purpose"
 
     def __post_init__(self):
         object.__setattr__(self, "base", self.base.rstrip("/"))
 
-    @property
-    def host(self) -> str:
-        return urlsplit(self.base).netloc
-
     def scheme_uri(self) -> str:
-        return f"{self.base}/{self.resource_segment}/"
+        return f"{self.base}/rs/"
 
 
 DEFAULT_CONFIG = NamespaceConfig()
 
 
 def split_statement_path(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> list[str]:
-    """Return the path segments after the resource segment, or raise."""
+    """Return the path segments after ``rs``, or raise."""
     parts = urlsplit(uri)
     base = urlsplit(cfg.base)
     if parts.scheme not in ("http", "https", ""):
@@ -103,10 +97,8 @@ def split_statement_path(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> lis
     if segments[: len(base_segments)] != base_segments:
         raise NotInNamespaceError(f"path does not start under {cfg.base!r}")
     segments = segments[len(base_segments):]
-    if not segments or segments[0] != cfg.resource_segment:
-        raise NotInNamespaceError(
-            f"path does not start with /{cfg.resource_segment}/"
-        )
+    if not segments or segments[0] != "rs":
+        raise NotInNamespaceError("path does not start with /rs/")
     return segments[1:]
 
 
@@ -132,7 +124,7 @@ def parse_statement_uri(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Stat
 
 
 def build_statement_uri(s: StatementUri, cfg: NamespaceConfig = DEFAULT_CONFIG) -> str:
-    segments = [cfg.resource_segment, s.name, s.version]
+    segments = ["rs", s.name, s.version]
     if s.jurisdiction:
         segments.append(s.jurisdiction)
     if s.validity:

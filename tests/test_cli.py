@@ -1,8 +1,10 @@
 import hashlib
 import http.client
 import json
+import re
 from pathlib import Path
 
+from rightsvocab import cli
 from rightsvocab.cli import CliConfig, build_snapshot, main
 from rightsvocab.server import NegotiationServer
 
@@ -193,3 +195,67 @@ def test_serve_from_prebuilt_directory(tmp_path):
         assert resp.getheader("Location") == "/rs/pd/2.0/data.jsonld"
     finally:
         server.shutdown()
+
+
+def _built_site(tmp_path) -> Path:
+    site = tmp_path / "site"
+    assert main(["build", VOCAB, "--out", str(site)]) == 0
+    return site
+
+
+def _serve_refuses(site: Path, capsys, monkeypatch) -> str:
+    def serve_anyway(*args, **kwargs):
+        raise AssertionError(f"serve {site} started a server")
+
+    monkeypatch.setattr(cli, "NegotiationServer", serve_anyway)
+    capsys.readouterr()
+    assert main(["serve", str(site), "--port", "0"]) == 2
+    return capsys.readouterr().err
+
+
+def test_serve_directory_matches_serve_vocab(tmp_path):
+    site = _built_site(tmp_path)
+    assert build_snapshot(str(site), CliConfig()) == build_snapshot(VOCAB, CliConfig())
+
+
+def test_serve_refuses_stale_files_of_in_place_rebuild(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    without_pd_1 = tmp_path / "without-pd-1.ttl"
+    without_pd_1.write_text(re.sub(
+        r"<http://rightsstatements.org/rs/pd/1.0/> a .*?\.\n\n", "",
+        Path(VOCAB).read_text(), flags=re.S,
+    ))
+    assert main(["build", str(without_pd_1), "--out", str(site)]) == 0
+    assert _serve_refuses(site, capsys, monkeypatch).splitlines()[1:] == [
+        f"  extra rs/pd/1.0/{name}"
+        for name in ("data.jsonld", "data.ttl", "index.en.html", "index.nl.html")
+    ]
+
+
+def test_serve_refuses_edited_page(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    page = site / "rs" / "ic" / "1.0" / "index.nl.html"
+    page.write_text(page.read_text().replace("<body>", "<body><p>edited</p>"))
+    assert "changed rs/ic/1.0/index.nl.html" in _serve_refuses(site, capsys, monkeypatch)
+
+
+def test_serve_refuses_malformed_vocabulary(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    (site / "rs" / "data.ttl").write_text("this is not turtle (")
+    assert str(site / "rs" / "data.ttl") in _serve_refuses(site, capsys, monkeypatch)
+
+
+def test_serve_refuses_missing_vocabulary(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    (site / "rs" / "data.ttl").unlink()
+    assert str(site / "rs" / "data.ttl") in _serve_refuses(site, capsys, monkeypatch)
+
+
+def test_serve_refuses_invalid_vocabulary(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    data = site / "rs" / "data.ttl"
+    data.write_text(data.read_text().replace(
+        '"In Copyright - Educational Use Only"@en',
+        '"In Copyright - Educational Use Only"',
+    ))
+    assert f"{data} failed validation" in _serve_refuses(site, capsys, monkeypatch)

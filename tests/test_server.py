@@ -1,4 +1,5 @@
 import http.client
+import socket
 
 import pytest
 from hypothesis import given
@@ -157,8 +158,18 @@ def test_unknown_statement_404(snapshot):
 
 
 def test_vary_always_present(snapshot):
-    for path in ("rs/ic-edu/1.0/", "rs/ic-edu/1.0/data.ttl", "rs/ghost/1.0/"):
-        assert _decide(snapshot, path).vary == ("Accept", "Accept-Language")
+    for path in ("/rs/ic-edu/1.0/", "/rs/ic-edu/1.0/data.ttl", "/rs/ghost/1.0/"):
+        _, headers, _ = handle_request("GET", path, {}, snapshot)
+        assert dict(headers)["Vary"] == "Accept, Accept-Language"
+
+
+def test_query_string_is_ignored(snapshot):
+    for path in ("/rs/ic/1.0/", "/rs/ic/1.0/data.ttl", "/rs/ghost/1.0/"):
+        assert handle_request("GET", path + "?a=1", {}, snapshot) == \
+            handle_request("GET", path, {}, snapshot)
+    assert handle_request("GET", "/rs/ic/1.0/data.ttl?a", {}, snapshot)[0] == 200
+    status, headers, _ = handle_request("GET", "/rs/ic/1.0/?a", {}, snapshot)
+    assert (status, dict(headers)["Location"]) == (303, "/rs/ic/1.0/index.en.html")
 
 
 def test_handle_request_head_matches_get(snapshot):
@@ -179,6 +190,61 @@ def test_handle_request_deterministic(snapshot):
     a = handle_request("GET", "/rs/ic/1.0/", {"Accept": "text/html"}, snapshot)
     b = handle_request("GET", "/rs/ic/1.0/", {"Accept": "text/html"}, snapshot)
     assert a == b
+
+
+@pytest.fixture
+def live_address(snapshot):
+    server = NegotiationServer(snapshot)
+    server.start_background()
+    yield server.address
+    server.shutdown()
+
+
+def _exchange(address, request: bytes) -> bytes:
+    """Send raw bytes, half-close, and read everything the server answers."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_live_server_any_other_method_is_405(live_address):
+    conn = http.client.HTTPConnection(*live_address)
+    for method in ("PATCH", "OPTIONS", "BREW"):
+        conn.request(method, "/rs/ic/1.0/")
+        resp = conn.getresponse()
+        resp.read()
+        assert (resp.status, resp.getheader("Allow")) == (405, "GET, HEAD")
+
+
+def test_live_server_discards_request_body(live_address):
+    smuggled = b"GET /rs/ghost/1.0/ HTTP/1.1\r\nHost: x\r\n\r\n"
+    reply = _exchange(live_address, (
+        b"POST /rs/ HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(smuggled)
+        + smuggled
+        + b"GET /rs/ic/1.0/data.ttl HTTP/1.1\r\nHost: x\r\n\r\n"
+    ))
+    statuses = [line.split(b" ")[1] for line in reply.split(b"\r\n")
+                if line.startswith(b"HTTP/1.1 ")]
+    assert statuses == [b"405", b"200"]
+
+
+@pytest.mark.parametrize("framing", [
+    b"Content-Length: banana\r\n",
+    b"Content-Length: 4\r\nContent-Length: 5\r\n",
+    b"Transfer-Encoding: chunked\r\n",
+])
+def test_live_server_closes_on_unknown_body_length(live_address, framing):
+    reply = _exchange(live_address, (
+        b"POST /rs/ HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n"
+        + b"GET /rs/ghost/1.0/ HTTP/1.1\r\nHost: x\r\n\r\n"
+    ))
+    assert reply.startswith(b"HTTP/1.1 405 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert b"\r\nConnection: close\r\n" in reply
 
 
 def test_live_server_round_trip(snapshot):
