@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from .model import normalize_lang
 from .site import SiteManifest, statement_dir
 from .uris import DEFAULT_CONFIG, NamespaceConfig
 from .vocab import Vocabulary, lookup_statement
@@ -88,7 +89,7 @@ def parse_accept_language(header: Optional[str]) -> list[LanguageRange]:
         q = _parse_q(bits[1:])
         if q is None:
             continue
-        ranges.append((LanguageRange(tag.lower() if tag != "*" else tag, q), idx))
+        ranges.append((LanguageRange(normalize_lang(tag) if tag != "*" else tag, q), idx))
     ranges.sort(key=lambda ri: (-ri[0].q, ri[1]))
     return [r for r, _ in ranges]
 
@@ -138,6 +139,8 @@ def select_language(
     for r in ranges:
         if r.q <= 0.0:
             continue
+        if r.tag in available:
+            return r.tag
         for lang in sorted(available):
             if _lang_matches(r.tag, lang):
                 return lang
@@ -221,7 +224,7 @@ def handle_request(
 ) -> tuple[int, list[tuple[str, str]], bytes]:
     headers = {k.lower(): v for k, v in headers.items()}
     if method not in ("GET", "HEAD"):
-        return 405, [("Allow", "GET, HEAD"), ("Content-Length", "0")], b""
+        return 405, [("Vary", VARY), ("Allow", "GET, HEAD"), ("Content-Length", "0")], b""
     path = path.partition("?")[0]
 
     decision = negotiate(
@@ -258,6 +261,8 @@ class NegotiationServer:
     def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # seconds a connection may stall mid-request before it is closed
+            timeout = 60
 
             def __getattr__(self, name):
                 # every do_<METHOD> lands here, so no method gets the stdlib 501
@@ -282,14 +287,18 @@ class NegotiationServer:
             def _discard_body(self) -> bool:
                 """Read a declared body off the connection so that its bytes
                 are not parsed as the next request; False when its length is
-                unknown or malformed and the connection must close."""
+                unknown or malformed, or it stalls past ``timeout``, and the
+                connection must close."""
                 lengths = self.headers.get_all("Content-Length", ["0"])
                 if ("Transfer-Encoding" in self.headers or len(lengths) != 1
                         or not re.fullmatch(r"[0-9]+", lengths[0].strip())):
                     return False
                 remaining = int(lengths[0])
                 while remaining:
-                    chunk = self.rfile.read(min(remaining, 65536))
+                    try:
+                        chunk = self.rfile.read(min(remaining, 65536))
+                    except TimeoutError:
+                        return False
                     if not chunk:
                         return False
                     remaining -= len(chunk)

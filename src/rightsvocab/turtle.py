@@ -2,10 +2,11 @@
 
 Supported syntax: ``@prefix`` directives, ``<IRI>``, prefixed names, the
 ``a`` keyword, ``;`` predicate lists, ``,`` object lists, anonymous blank
-node property lists ``[ ... ]``, labeled blank nodes ``_:x``, quoted string
-literals with ``\\" \\\\ \\n \\t`` escapes, ``@lang`` tags, ``^^`` datatypes
-and ``#`` comments.  Collections, numeric/boolean shorthand and multi-line
-literals are rejected.
+node property lists ``[ ... ]`` nested at most ``MAX_NESTING`` deep, labeled
+blank nodes ``_:x``, quoted string literals with ``\\" \\\\ \\n \\t \\r``
+escapes, ``@lang`` tags, ``^^`` datatypes and ``#`` comments.  Collections,
+numeric/boolean shorthand and multi-line literals are rejected.  Every
+input either parses to a ``Graph`` or raises ``TurtleSyntaxError``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import re
 from typing import Optional
 
 from .model import (
-    BlankNode, Graph, Iri, Literal, Term, Triple, display_names, term_sort_key,
+    BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names,
+    term_sort_key,
 )
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
@@ -29,11 +31,53 @@ class TurtleSyntaxError(ValueError):
 
 _PNAME = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9][A-Za-z0-9_.-]*)?$")
 _LOCAL_OK = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
-# Matched at a position in the whole text: matching a slice ``text[i:]``
-# would copy the rest of the document for every token.
-_AT_WORD = re.compile(r"@([A-Za-z][A-Za-z0-9-]*)")
-_BNODE_LABEL = re.compile(r"_:([A-Za-z0-9][A-Za-z0-9_-]*)")
-_WORD = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*:?[A-Za-z0-9_.-]*|:")
+# One named alternative per token kind, tried in order at a position of the
+# whole text (matching a slice ``text[i:]`` would copy the rest of the
+# document for every token).  The kinds in ``_REJECTED`` are forms the
+# subset refuses; the last four match what starts no token at all.
+_TOKEN = re.compile(r"""
+    (?P<space>(?:[ \t\r\n]|\#[^\n]*)+)
+  | (?P<iri><[^>\n]*>)
+  | (?P<multiline>\"\"\")
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<prefix>@prefix(?![A-Za-z0-9-]))
+  | (?P<base>@base(?![A-Za-z0-9-]))
+  | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
+  | (?P<punct>\^\^|[.;,\[\]])
+  | (?P<collection>[()])
+  | (?P<bnode>_:[A-Za-z0-9][A-Za-z0-9_-]*)
+  | (?P<nolabel>_:)
+  | (?P<numeric>[0-9])
+  | (?P<boolean>(?:true|false)(?![A-Za-z0-9_.:-]))
+  | (?P<a>a(?![A-Za-z0-9_.:-]))
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_.-]*)
+  | (?P<open_iri><)
+  | (?P<open_string>")
+  | (?P<bad_at>@)
+  | (?P<other>.)
+""", re.VERBOSE)
+_REJECTED = {
+    "multiline": "multi-line literals are not supported",
+    "base": "@base is not supported",
+    "collection": "RDF collections are not supported",
+    "nolabel": "bad blank node label",
+    "numeric": "numeric shorthand literals are not supported",
+    "boolean": "boolean shorthand literals are not supported",
+    "word": "unexpected token {!r}",
+    "open_iri": "unterminated IRI",
+    "open_string": "unterminated string literal",
+    "bad_at": "bad @ token",
+    "other": "unexpected character {!r}",
+}
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+
+
+# Deepest nesting of ``[ ... ]`` the reader takes.  It spends 3 stack frames
+# per level, and the writer 2, so both stay far below Python's default limit
+# of 1000 frames on such a graph.
+MAX_NESTING = 100
 
 
 class _Token:
@@ -46,118 +90,39 @@ class _Token:
         self.col = col
 
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(msg: str) -> TurtleSyntaxError:
-        return TurtleSyntaxError(msg, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    i, line, line_start = 0, 1, 0
+    while i < len(text):
+        col = i - line_start + 1
+        m = _TOKEN.match(text, i)
+        kind, value = m.lastgroup, m.group()
+        i = m.end()
+        if kind == "space":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = text.rindex("\n", 0, i) + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "<":
-            j = text.find(">", i + 1)
-            if j < 0 or "\n" in text[i:j]:
-                raise err("unterminated IRI")
-            tokens.append(_Token("iri", text[i + 1 : j], start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == '"':
-            if text[i : i + 3] == '"""':
-                raise err("multi-line literals are not supported")
-            buf = []
-            j = i + 1
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise err("unterminated string literal")
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n:
-                        raise err("unterminated escape")
-                    esc = text[j + 1]
-                    if esc not in _ESCAPES:
-                        raise err(f"unsupported escape: \\{esc}")
-                    buf.append(_ESCAPES[esc])
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                buf.append(c)
-                j += 1
-            tokens.append(_Token("string", "".join(buf), start_line, start_col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch == "@":
-            m = _AT_WORD.match(text, i)
-            if not m:
-                raise err("bad @ token")
-            word = m.group(1)
-            if word == "prefix":
-                tokens.append(_Token("@prefix", word, start_line, start_col))
-            elif word == "base":
-                raise err("@base is not supported")
-            else:
-                tokens.append(_Token("langtag", word, start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if text[i : i + 2] == "^^":
-            tokens.append(_Token("^^", "^^", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ".;,[]":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "()":
-            raise err("RDF collections are not supported")
-        if text[i : i + 2] == "_:":
-            m = _BNODE_LABEL.match(text, i)
-            if not m:
-                raise err("bad blank node label")
-            tokens.append(_Token("bnode", m.group(1), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _WORD.match(text, i)
-        if m:
-            word = m.group(0)
-            if word == "a":
-                tokens.append(_Token("a", word, start_line, start_col))
-            elif re.match(r"^[0-9.+-]", word):
-                raise err("numeric shorthand literals are not supported")
-            elif word in ("true", "false"):
-                raise err("boolean shorthand literals are not supported")
-            elif ":" in word:
-                tokens.append(_Token("pname", word, start_line, start_col))
-            else:
-                raise err(f"unexpected token {word!r}")
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise err(f"unexpected character {ch!r}")
+        if kind in _REJECTED:
+            raise TurtleSyntaxError(_REJECTED[kind].format(value), line, col)
+        if kind == "string":
+            try:
+                value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value[1:-1])
+            except KeyError as exc:
+                raise TurtleSyntaxError(
+                    f"unsupported escape: \\{exc.args[0]}", line, col
+                ) from None
+        elif kind == "iri":
+            value = value[1:-1]
+        elif kind == "prefix":
+            kind, value = "@prefix", "prefix"
+        elif kind == "langtag":
+            value = value[1:]
+        elif kind == "bnode":
+            value = value[2:]
+        elif kind == "punct":
+            kind = value
+        tokens.append(_Token(kind, value, line, col))
     return tokens
 
 
@@ -169,6 +134,7 @@ class _Parser:
         self.triples: set[Triple] = set()
         self._fresh = itertools.count()
         self._labels: dict[str, BlankNode] = {}
+        self._depth = 0
 
     def _peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -303,32 +269,44 @@ class _Parser:
         raise TurtleSyntaxError(f"expected object, got {tok.value!r}", tok.line, tok.col)
 
     def _parse_bnode_property_list(self) -> BlankNode:
-        self._next("[")
+        tok = self._next("[")
+        if self._depth == MAX_NESTING:
+            raise TurtleSyntaxError(
+                f"blank node property lists nest deeper than {MAX_NESTING}",
+                tok.line, tok.col,
+            )
+        self._depth += 1
         node = self._fresh_bnode()
         if self._peek() is not None and self._peek().kind != "]":
             self._parse_predicate_object_list(node)
         self._next("]")
+        self._depth -= 1
         return node
 
 
 def parse_turtle(text: str) -> Graph:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except TurtleSyntaxError:
+        raise
+    except ValueError as exc:
+        # a term the model rejects, such as <foo> or "x"@zh-Hant, is built
+        # from the token consumed last
+        tok = parser.tokens[parser.pos - 1]
+        raise TurtleSyntaxError(str(exc), tok.line, tok.col) from None
 
 
 # --- serialization -----------------------------------------------------
 
-_STR_ESC = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def _escape(s: str) -> str:
-    return "".join(_STR_ESC.get(c, c) for c in s)
+_STR_ESC = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+)
 
 
 def _shrink_iri(iri: Iri) -> str:
-    if iri.value == RDF_TYPE:
-        return "a"
     for prefix, ns in NAMESPACE_TABLE.items():
         if iri.value.startswith(ns):
             local = iri.value[len(ns):]
@@ -337,27 +315,35 @@ def _shrink_iri(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
+def _predicate_str(iri: Iri) -> str:
+    # ``a`` stands for rdf:type in predicate position only
+    return "a" if iri.value == RDF_TYPE else _shrink_iri(iri)
+
+
 def _inlinable(g: Graph) -> set[BlankNode]:
-    """Blank nodes referenced exactly once as object and free of cycles."""
-    as_object: dict[BlankNode, int] = {}
+    """Blank nodes referenced exactly once as object, except those on a
+    cycle of such nodes, which nothing outside the cycle would write."""
+    # the subject that refers to a blank node, or None if more than one does
+    parent: dict[BlankNode, Optional[SubjectTerm]] = {}
     for t in g:
         if isinstance(t.object, BlankNode):
-            as_object[t.object] = as_object.get(t.object, 0) + 1
-    candidates = {b for b, c in as_object.items() if c == 1}
+            parent[t.object] = None if t.object in parent else t.subject
+    candidates = {b for b, p in parent.items() if p is not None}
 
-    # drop any candidate that can reach itself through object links
-    edges: dict[BlankNode, set[BlankNode]] = {}
-    for t in g:
-        if isinstance(t.subject, BlankNode) and isinstance(t.object, BlankNode):
-            edges.setdefault(t.subject, set()).add(t.object)
-
-    def reaches(start: BlankNode, target: BlankNode, seen: set) -> bool:
-        for nxt in edges.get(start, ()):
-            if nxt == target or (nxt not in seen and reaches(nxt, target, seen | {nxt})):
-                return True
-        return False
-
-    return {b for b in candidates if not reaches(b, b, set())}
+    # each candidate has one parent, so one walk up from each finds every
+    # cycle of candidates; ``visited`` stops a walk at an earlier one's path
+    inline = set(candidates)
+    visited: set[BlankNode] = set()
+    for start in candidates:
+        path: dict[BlankNode, int] = {}
+        node = start
+        while node in candidates and node not in visited:
+            visited.add(node)
+            path[node] = len(path)
+            node = parent[node]
+        if node in path:
+            inline.difference_update(itertools.islice(path, path[node], None))
+    return inline
 
 
 def serialize_turtle(g: Graph) -> str:
@@ -369,7 +355,7 @@ def serialize_turtle(g: Graph) -> str:
         if isinstance(term, Iri):
             return _shrink_iri(term)
         if isinstance(term, Literal):
-            s = f'"{_escape(term.lexical)}"'
+            s = f'"{term.lexical.translate(_STR_ESC)}"'
             if term.lang:
                 s += f"@{term.lang}"
             elif term.datatype:
@@ -383,7 +369,7 @@ def serialize_turtle(g: Graph) -> str:
         pad = "    " * (indent + 1)
         parts = []
         for t in g.triples_about(node):
-            parts.append(f"{pad}{_shrink_iri(t.predicate)} {term_str(t.object, indent + 1)}")
+            parts.append(f"{pad}{_predicate_str(t.predicate)} {term_str(t.object, indent + 1)}")
         if not parts:
             return "[]"
         return "[\n" + " ;\n".join(parts) + "\n" + "    " * indent + "]"
@@ -402,7 +388,7 @@ def serialize_turtle(g: Graph) -> str:
         )
         parts = []
         for t in g.triples_about(subject):
-            parts.append(f"    {_shrink_iri(t.predicate)} {term_str(t.object, 1)}")
+            parts.append(f"    {_predicate_str(t.predicate)} {term_str(t.object, 1)}")
         lines.append(subj_str)
         lines.append(" ;\n".join(parts) + " .")
     return "\n".join(lines) + "\n"

@@ -86,7 +86,10 @@ DEFAULT_CONFIG = NamespaceConfig()
 
 def split_statement_path(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> list[str]:
     """Return the path segments after ``rs``, or raise."""
-    parts = urlsplit(uri)
+    try:
+        parts = urlsplit(uri)
+    except ValueError as exc:  # such as "Invalid IPv6 URL" for http://[...
+        raise NotInNamespaceError(str(exc)) from None
     base = urlsplit(cfg.base)
     if parts.scheme not in ("http", "https", ""):
         raise NotInNamespaceError(f"unsupported scheme {parts.scheme!r}")

@@ -1,7 +1,9 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from rightsvocab import Graph, Iri, Literal, Triple, load_vocabulary, parse_turtle
 from rightsvocab.model import BlankNode
@@ -13,6 +15,39 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+# Pieces that hostile or broken input is made of: terms the model rejects,
+# every rejected token form and a blank-node nesting past the bound.
+HOSTILE_PIECES = [
+    "<foo>", "<a b>", "<>", '"x"@zh-Hant', "@en-gb", "@", "@base", "@prefix",
+    "<http://[rightsstatements.org/rs/ic/1.0/>", "[", "]", "(", '"""', "_:",
+    "_:b0", "42", "true", "a", ":", "dcterms:", '"\\q"', '"open', "^^", ";", ",",
+    ".", "#", "\n", " ", "<http://example.org/p> [ " * 120,
+]
+
+
+@st.composite
+def mutated_fixture(draw, name: str = "vocabulary.ttl") -> str:
+    """A fixture with one to six of its pieces deleted, cut short, replaced
+    or preceded by a fixture or hostile piece."""
+    original = re.findall(
+        r'\s+|"(?:[^"\\\n]|\\.)*"|<[^>\n]*>|[^\s"<]+|.', fixture_text(name), re.S
+    )
+    others = st.sampled_from(HOSTILE_PIECES + original) | st.text(max_size=3)
+    pieces = list(original)
+    for _ in range(draw(st.integers(1, 6))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        op = draw(st.sampled_from(["delete", "cut", "replace", "insert"]))
+        if op == "delete":
+            del pieces[i]
+        elif op == "cut":
+            pieces[i] = pieces[i][: draw(st.integers(0, len(pieces[i])))]
+        elif op == "replace":
+            pieces[i] = draw(others)
+        else:
+            pieces.insert(i, draw(others))
+    return "".join(pieces)
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,19 @@
+import contextlib
 import hashlib
 import http.client
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
 
 from rightsvocab import cli
 from rightsvocab.cli import CliConfig, build_snapshot, main
 from rightsvocab.server import NegotiationServer
 
-from conftest import FIXTURES
+from conftest import FIXTURES, mutated_fixture
 
 VOCAB = str(FIXTURES / "vocabulary.ttl")
 IC_EDU = str(FIXTURES / "ic_edu_statement.ttl")
@@ -42,6 +47,33 @@ def test_validate_syntax_error_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ttl"
     bad.write_text("this is not turtle (")
     assert main(["validate", str(bad)]) == 2
+
+
+def _deeply_nested(depth: int) -> str:
+    return "<http://e.org/s> " + "<http://e.org/p> [ " * depth + "]" * depth + " .\n"
+
+
+# (original, replacement, the text at the reported position)
+_REJECTED_TERMS = [
+    ('"Rechtenverklaringen"@nl', '"Rechtenverklaringen"@zh-Hant', "@zh-Hant"),
+    ("<http://rightsstatements.org/rs/ic/1.0/> a", "<foo> a", "<foo>"),
+    # the reported "[" is the 101st, followed by 299 more
+    ("<http://rightsstatements.org/rs/> a", _deeply_nested(400),
+     "[ " + "<http://e.org/p> [ " * 299 + "]"),
+]
+
+
+def test_validate_rejected_terms_exit_2_with_line_and_column(tmp_path, capsys):
+    for original, replacement, reported in _REJECTED_TERMS:
+        text = Path(VOCAB).read_text().replace(original, replacement, 1)
+        bad = tmp_path / "bad.ttl"
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(["validate", str(bad)]) == 2
+        at = text.index(reported)
+        line = text.count("\n", 0, at) + 1
+        col = at - text.rfind("\n", 0, at)
+        assert f"{bad}: line {line}, col {col}: " in capsys.readouterr().err
 
 
 def test_validate_missing_file_is_exit_2():
@@ -157,6 +189,16 @@ def test_check_unknown_reference_fails(tmp_path, capsys):
     assert "UNKNOWN" in capsys.readouterr().out
 
 
+def test_check_unsplittable_reference_is_external(tmp_path, capsys):
+    obj = tmp_path / "obj.ttl"
+    obj.write_text(
+        "@prefix edm: <http://www.europeana.eu/schemas/edm/> .\n"
+        "<http://e.org/o> edm:rights <http://[rightsstatements.org/rs/ic/1.0/> .\n"
+    )
+    assert main(["check", str(obj), "--vocab", VOCAB]) == 0
+    assert "EXTERNAL:1" in capsys.readouterr().out
+
+
 def test_serve_from_vocab_snapshot_end_to_end():
     snapshot = build_snapshot(VOCAB, CliConfig())
     server = NegotiationServer(snapshot)
@@ -259,3 +301,19 @@ def test_serve_refuses_invalid_vocabulary(tmp_path, capsys, monkeypatch):
         '"In Copyright - Educational Use Only"',
     ))
     assert f"{data} failed validation" in _serve_refuses(site, capsys, monkeypatch)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_fixture())
+def test_cli_is_total_over_mutated_fixture(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vocab.ttl"
+        path.write_text(text, encoding="utf-8")
+        for argv in (
+            ["validate", str(path)],
+            ["build", str(path), "--out", str(Path(tmp) / "site")],
+            ["check", str(path), "--vocab", VOCAB],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

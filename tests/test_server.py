@@ -72,6 +72,22 @@ def test_language_prefix_matching():
     assert select_language(["nl-BE", "en"], parse_accept_language("nl")) == "nl-BE"
 
 
+def test_language_ranges_and_tags_compare_in_one_form():
+    for header in ("pt-BR", "pt-br", "PT-BR"):
+        assert select_language(["en", "pt-BR"], parse_accept_language(header)) == "pt-BR"
+
+
+@given(st.lists(st.sampled_from(["en", "nl", "nl-BE", "pt-BR", "zh-TW"]),
+                min_size=1, unique=True),
+       st.data())
+def test_any_casing_of_an_available_tag_selects_it(available, data):
+    tag = data.draw(st.sampled_from(available))
+    header = "".join(
+        c.upper() if data.draw(st.booleans()) else c.lower() for c in tag
+    )
+    assert select_language(available, parse_accept_language(header)) == tag
+
+
 def test_language_default_is_english():
     assert select_language(["en", "nl"], []) == "en"
     assert select_language(["en", "nl"], parse_accept_language("xx")) == "en"
@@ -158,8 +174,13 @@ def test_unknown_statement_404(snapshot):
 
 
 def test_vary_always_present(snapshot):
-    for path in ("/rs/ic-edu/1.0/", "/rs/ic-edu/1.0/data.ttl", "/rs/ghost/1.0/"):
-        _, headers, _ = handle_request("GET", path, {}, snapshot)
+    for method, path in (
+        ("GET", "/rs/ic-edu/1.0/"),
+        ("GET", "/rs/ic-edu/1.0/data.ttl"),
+        ("GET", "/rs/ghost/1.0/"),
+        ("POST", "/rs/"),
+    ):
+        _, headers, _ = handle_request(method, path, {}, snapshot)
         assert dict(headers)["Vary"] == "Accept, Accept-Language"
 
 
@@ -245,6 +266,33 @@ def test_live_server_closes_on_unknown_body_length(live_address, framing):
     assert reply.startswith(b"HTTP/1.1 405 ")
     assert reply.count(b"HTTP/1.1 ") == 1
     assert b"\r\nConnection: close\r\n" in reply
+
+
+def test_live_server_closes_stalled_requests(snapshot):
+    server = NegotiationServer(snapshot)
+    assert server.httpd.RequestHandlerClass.timeout is not None
+    server.httpd.RequestHandlerClass.timeout = 0.5
+    server.start_background()
+    try:
+        stalled = [
+            b"GET /rs/ic/1.0/ HTTP/1.1\r\nHost: x\r\n",  # no blank line
+            b"POST /rs/ HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\nab",
+        ]
+        socks = [socket.create_connection(server.address, timeout=5) for _ in stalled]
+        for sock, request in zip(socks, stalled):
+            sock.sendall(request)
+        replies = []
+        for sock in socks:
+            with sock:
+                chunks = []
+                while chunk := sock.recv(65536):
+                    chunks.append(chunk)
+                replies.append(b"".join(chunks))
+    finally:
+        server.shutdown()
+    assert replies[0] == b""
+    assert replies[1].startswith(b"HTTP/1.1 405 ")
+    assert b"\r\nConnection: close\r\n" in replies[1]
 
 
 def test_live_server_round_trip(snapshot):

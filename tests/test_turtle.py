@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rightsvocab import (
     BlankNode,
@@ -12,6 +14,9 @@ from rightsvocab import (
     serialize_turtle,
 )
 from rightsvocab.namespaces import DCTERMS, RDF_TYPE, SKOS
+from rightsvocab.turtle import MAX_NESTING
+
+from conftest import mutated_fixture
 
 EX = "http://example.org/"
 
@@ -158,3 +163,145 @@ def test_serialize_labels_shared_blank_nodes():
 def test_output_has_lf_line_endings(ic_edu_graph):
     out = serialize_turtle(ic_edu_graph)
     assert "\r" not in out and out.endswith("\n")
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ('<s> <p> <o .', "unterminated IRI", 1, 9),
+    ('\n  <s> <p> "o .', "unterminated string literal", 2, 11),
+    ('<s> <p> "a\\qb" .', "unsupported escape: \\q", 1, 9),
+    ('<s> <p> "" , """o""" .', "multi-line literals are not supported", 1, 14),
+    ("<s> <p> @ .", "bad @ token", 1, 9),
+    ("@base <http://example.org/> .", "@base is not supported", 1, 1),
+    ("_: <p> <o> .", "bad blank node label", 1, 1),
+    ("<s> <p> 4.2 .", "numeric shorthand literals are not supported", 1, 9),
+    ("<s> <p> false .", "boolean shorthand literals are not supported", 1, 9),
+    ("<s> <p> bare .", "unexpected token 'bare'", 1, 9),
+    ("<s> <p> ^o .", "unexpected character '^'", 1, 9),
+    ("# c\n\t<s> <p> {", "unexpected character '{'", 2, 10),
+])
+def test_rejected_token_forms_keep_message_and_position(text, message, line, col):
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == \
+        (f"line {line}, col {col}: {message}", line, col)
+
+
+@pytest.mark.parametrize("text,line,col", [
+    (f'<{EX}s> <{EX}p> "x"@zh-Hant .', 1, 50),
+    ("<foo> a <http://example.org/C> .", 1, 1),
+    (f"<{EX}s>\n  <{EX}p> <a b> .", 2, 26),
+    (f"<{EX}s> <{EX}p> <> .", 1, 47),
+    ('@prefix e: <urn:x> .\n@prefix n: <> .\ne:s e:p n:o .', 3, 9),
+    (f'<{EX}s> <{EX}p> "1"^^<int> .', 1, 52),
+])
+def test_terms_the_model_rejects_are_syntax_errors(text, line, col):
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def _nested(depth: int) -> str:
+    return f"<{EX}s> " + f"<{EX}p> [ " * depth + "]" * depth + " ."
+
+
+def test_nesting_up_to_the_bound_parses():
+    assert len(parse_turtle(_nested(MAX_NESTING))) == MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
+def test_nesting_past_the_bound_is_a_syntax_error(depth):
+    with pytest.raises(TurtleSyntaxError, match="nest deeper") as exc:
+        parse_turtle(_nested(depth))
+    offending = len(f"<{EX}s> ") + len(f"<{EX}p> [ ") * (MAX_NESTING + 1) - 1
+    assert (exc.value.line, exc.value.col) == (1, offending)
+
+
+def test_chain_at_the_bound_round_trips():
+    nodes = [BlankNode(f"n{k}") for k in range(MAX_NESTING)]
+    g = Graph(
+        [Triple(Iri(EX + "s"), Iri(EX + "p"), nodes[0])]
+        + [Triple(a, Iri(EX + "p"), b) for a, b in zip(nodes, nodes[1:])]
+        + [Triple(n, Iri(EX + "v"), Literal(str(k))) for k, n in enumerate(nodes)]
+    )
+    out = serialize_turtle(g)
+    assert out.count("[") == MAX_NESTING
+    again = parse_turtle(out)
+    assert len(again) == len(g) and serialize_turtle(again) == out
+
+
+def test_rdf_type_is_written_as_a_in_predicate_position_only():
+    t = Iri(RDF_TYPE)
+    g = Graph([Triple(t, t, t)])
+    assert serialize_turtle(g).endswith("\nrdf:type\n    a rdf:type .\n")
+    assert parse_turtle(serialize_turtle(g)) == g
+
+
+def test_cycle_through_a_shared_node_is_inlined():
+    shared, inner = BlankNode("shared"), BlankNode("inner")
+    g = Graph([
+        Triple(Iri(EX + "a"), Iri(EX + "p"), shared),
+        Triple(shared, Iri(EX + "p"), inner),
+        Triple(inner, Iri(EX + "p"), shared),
+    ])
+    out = serialize_turtle(g)
+    assert out.count("[") == 1 and out.count("_:b0") == 3
+    assert graphs_isomorphic(g, parse_turtle(out))
+
+
+@given(st.text())
+def test_parse_is_total_over_text(text):
+    try:
+        assert isinstance(parse_turtle(text), Graph)
+    except TurtleSyntaxError:
+        pass
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_fixture())
+def test_parse_is_total_over_mutated_fixture(text):
+    try:
+        assert isinstance(parse_turtle(text), Graph)
+    except TurtleSyntaxError:
+        pass
+
+
+_IRIS = [Iri(EX + c) for c in "abc"] + [Iri(SKOS + "prefLabel"), Iri(RDF_TYPE)]
+_LABELLED = [BlankNode(f"l{k}") for k in range(4)]
+# with _LABELLED, the 32 blank nodes graphs_isomorphic takes;
+# test_chain_at_the_bound_round_trips covers deeper nesting
+_MAX_TREE_NODES = 28
+
+
+@st.composite
+def graphs(draw) -> Graph:
+    """Random graphs of shared labelled blank nodes, which may form cycles,
+    and nested blank-node trees, with literals that need every escape."""
+    literals = st.builds(
+        Literal,
+        st.text(alphabet='ab\\"\n\t\ré ', max_size=6),
+        lang=st.sampled_from([None, "en", "pt-BR"]),
+    ) | st.builds(Literal, st.text(max_size=3), datatype=st.sampled_from(_IRIS))
+    leaves = st.sampled_from(_IRIS + _LABELLED) | literals
+    predicates = st.sampled_from(_IRIS)
+    triples, made = [], []
+
+    def node_or_leaf():
+        # three in four objects open a nested tree while blank nodes last
+        if len(made) == _MAX_TREE_NODES or not draw(st.integers(0, 3)):
+            return draw(leaves)
+        node = BlankNode(f"t{len(made)}")
+        made.append(node)
+        for _ in range(draw(st.integers(0, 2))):
+            triples.append(Triple(node, draw(predicates), node_or_leaf()))
+        return node
+
+    for _ in range(draw(st.integers(0, 6))):
+        subject = draw(st.sampled_from(_IRIS + _LABELLED))
+        triples.append(Triple(subject, draw(predicates), node_or_leaf()))
+    return Graph(triples)
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(graphs())
+def test_serialize_parse_round_trip(g):
+    assert graphs_isomorphic(g, parse_turtle(serialize_turtle(g)))

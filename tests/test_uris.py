@@ -80,6 +80,12 @@ def test_foreign_host_rejected():
         parse_statement_uri("http://example.org/rs/ic/1.0/")
 
 
+def test_unsplittable_uri_is_not_in_namespace():
+    # urlsplit raises ValueError("Invalid IPv6 URL") for this host
+    with pytest.raises(NotInNamespaceError):
+        parse_statement_uri("http://[rightsstatements.org/rs/ic/1.0/")
+
+
 def test_wrong_segment_rejected():
     with pytest.raises(NotInNamespaceError):
         parse_statement_uri("http://rightsstatements.org/page/ic/1.0/")
