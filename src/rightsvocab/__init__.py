@@ -33,7 +33,6 @@ from .site import (
 from .server import (
     LanguageRange,
     MediaRange,
-    NegotiationDecision,
     NegotiationServer,
     Snapshot,
     handle_request,
@@ -54,7 +53,7 @@ __all__ = [
     "lookup_statement",
     "SiteManifest", "generate_site", "render_overview_html",
     "render_statement_html", "write_manifest",
-    "LanguageRange", "MediaRange", "NegotiationDecision",
-    "NegotiationServer", "Snapshot", "handle_request", "negotiate",
+    "LanguageRange", "MediaRange", "NegotiationServer",
+    "Snapshot", "handle_request", "negotiate",
     "parse_accept", "parse_accept_language",
 ]

@@ -36,15 +36,6 @@ def _signature(g: Graph, node: BlankNode):
     return frozenset(Counter(sig).items())
 
 
-def _apply(g: Graph, mapping: dict[BlankNode, BlankNode]) -> set[Triple]:
-    out = set()
-    for t in g:
-        s = mapping.get(t.subject, t.subject) if isinstance(t.subject, BlankNode) else t.subject
-        o = mapping.get(t.object, t.object) if isinstance(t.object, BlankNode) else t.object
-        out.add(Triple(s, t.predicate, o))
-    return out
-
-
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     if len(a) != len(b):
         return False
@@ -73,17 +64,30 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
 
     target = set(b)
     order = sorted(nodes_a, key=lambda n: (len(list(sig_a[n])), n.label))
+    candidates = sorted(nodes_b, key=lambda n: n.label)
+    touching = {n: [t for t in a if n in (t.subject, t.object)] for n in nodes_a}
+
+    def fits(node: BlankNode, mapping: dict) -> bool:
+        """Each triple of ``node`` whose blank ends are all mapped maps into
+        ``b``, so a full injective mapping that fits at every step maps
+        ``a`` onto ``b``, which has as many triples."""
+        for t in touching[node]:
+            s = mapping.get(t.subject) if isinstance(t.subject, BlankNode) else t.subject
+            o = mapping.get(t.object) if isinstance(t.object, BlankNode) else t.object
+            if s is not None and o is not None and Triple(s, t.predicate, o) not in target:
+                return False
+        return True
 
     def backtrack(i: int, mapping: dict, used: set) -> bool:
         if i == len(order):
-            return _apply(a, mapping) == target
+            return True
         node = order[i]
-        for cand in sorted(nodes_b, key=lambda n: n.label):
+        for cand in candidates:
             if cand in used or sig_b[cand] != sig_a[node]:
                 continue
             mapping[node] = cand
             used.add(cand)
-            if backtrack(i + 1, mapping, used):
+            if fits(node, mapping) and backtrack(i + 1, mapping, used):
                 return True
             del mapping[node]
             used.remove(cand)

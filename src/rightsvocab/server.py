@@ -1,16 +1,20 @@
 """Content negotiation over a site manifest (Recipe-5-style 303s).
 
-Abstract statement URIs never answer 200: they 303 to a concrete
-document selected by Accept and Accept-Language.  Unacceptable Accept
+A ``Snapshot`` compiles its manifest once into a table of finished 200
+responses, so a request for a document is one dict lookup that parses no
+header.  Any other path goes to ``negotiate``: the scheme URI and
+abstract statement URIs 303 to a concrete document selected by Accept
+and Accept-Language, and everything else is 404.  Unacceptable Accept
 headers fall back to HTML rather than 406.  Query strings are ignored,
-and every method other than GET and HEAD gets 405.
+and every method other than GET and HEAD gets 405.  Responses are shared
+between requests and are never mutated.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
@@ -133,15 +137,20 @@ def _lang_matches(range_tag: str, available: str) -> bool:
 def select_language(
     available: list[str], ranges: list[LanguageRange], default: str = "en"
 ) -> str:
-    """Total selection: always yields exactly one language."""
+    """Total selection: always yields exactly one language.  A q=0 range
+    refuses the tags it matches by RFC 4647 basic filtering (itself and
+    its extensions) for every other range, ``*`` included."""
     if not available:
         return default
+    refused = {lang for r in ranges if r.q <= 0.0 for lang in available
+               if lang == r.tag or lang.startswith(r.tag + "-")}
+    candidates = sorted(set(available) - refused)
     for r in ranges:
         if r.q <= 0.0:
             continue
-        if r.tag in available:
+        if r.tag in candidates:
             return r.tag
-        for lang in sorted(available):
+        for lang in candidates:
             if _lang_matches(r.tag, lang):
                 return lang
     if default in available:
@@ -149,110 +158,75 @@ def select_language(
     return sorted(available)[0]
 
 
-@dataclass(frozen=True)
-class NegotiationDecision:
-    status: int  # 303, 200 or 404
-    location: Optional[str] = None
-    media_type: Optional[str] = None
-    content_language: Optional[str] = None
+_DOC_SUFFIX = {"text/turtle": "data.ttl", "application/ld+json": "data.jsonld"}
 
-    def __post_init__(self):
-        if self.status == 303 and not self.location:
-            raise ValueError("303 requires a location")
-        if self.status == 200 and not self.media_type:
-            raise ValueError("200 requires a media type")
+Response = tuple[int, tuple[tuple[str, str], ...], bytes]  # status, header pairs, body
 
-
-_DOC_SUFFIX = {
-    "text/turtle": "data.ttl",
-    "application/ld+json": "data.jsonld",
-}
-
-
-def negotiate(
-    path: str,
-    accept: list[MediaRange],
-    accept_language: list[LanguageRange],
-    manifest: SiteManifest,
-    v: Vocabulary,
-    cfg: NamespaceConfig = DEFAULT_CONFIG,
-    default_lang: str = "en",
-) -> NegotiationDecision:
-    rel = path.lstrip("/")
-
-    entry = manifest.entries.get(rel)
-    if entry is not None:
-        return NegotiationDecision(
-            status=200, media_type=entry.media_type,
-            content_language=entry.language,
-        )
-
-    chosen = select_media_type(accept)
-
-    if rel.rstrip("/") == "rs":
-        base = "rs/"
-        html_langs = sorted(
-            e.language for p, e in manifest.entries.items()
-            if p.startswith("rs/index.") and e.language
-        )
-        return _redirect(base, chosen, accept_language, html_langs, default_lang)
-
-    record = lookup_statement(v, cfg.base + "/" + rel, cfg)
-    if record is None:
-        return NegotiationDecision(status=404)
-    base = statement_dir(record)
-    return _redirect(base, chosen, accept_language, record.languages(), default_lang)
-
-
-def _redirect(base, chosen, accept_language, html_langs, default_lang):
-    if chosen in _DOC_SUFFIX:
-        return NegotiationDecision(status=303, location=base + _DOC_SUFFIX[chosen])
-    lang = select_language(html_langs, accept_language, default_lang)
-    return NegotiationDecision(status=303, location=f"{base}index.{lang}.html")
+_METHOD_NOT_ALLOWED: Response = (
+    405, (("Vary", VARY), ("Allow", "GET, HEAD"), ("Content-Length", "0")), b"",
+)
+_NOT_FOUND: Response = (404, (
+    ("Vary", VARY), ("Content-Type", "text/plain; charset=utf-8"), ("Content-Length", "14"),
+), b"404 not found\n")
 
 
 @dataclass(frozen=True)
 class Snapshot:
+    """The served site compiled once: each manifest path's finished 200
+    response, and the languages of the scheme's HTML overviews."""
+
     manifest: SiteManifest
     vocabulary: Vocabulary
     cfg: NamespaceConfig = DEFAULT_CONFIG
     default_lang: str = "en"
+    documents: dict[str, Response] = field(init=False, repr=False, compare=False)
+    overview_langs: list[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        documents = {}
+        for path, entry in self.manifest.entries.items():
+            headers = [("Vary", VARY), ("Content-Type", entry.media_type + "; charset=utf-8")]
+            if entry.language:
+                headers.append(("Content-Language", entry.language))
+            headers.append(("Content-Length", str(len(entry.content))))
+            documents[path] = (200, tuple(headers), entry.content)
+        object.__setattr__(self, "documents", documents)
+        object.__setattr__(self, "overview_langs", sorted(
+            entry.language for path, entry in self.manifest.entries.items()
+            if path.startswith("rs/index.") and entry.language
+        ))
+
+
+def negotiate(rel: str, accept: list[MediaRange], accept_language: list[LanguageRange],
+              snapshot: Snapshot) -> Response:
+    """The 303 for the scheme URI or a statement URI at ``rel`` (no
+    leading slash, no query), or 404."""
+    if rel.rstrip("/") == "rs":
+        base, langs = "rs/", snapshot.overview_langs
+    else:
+        cfg = snapshot.cfg
+        record = lookup_statement(snapshot.vocabulary, cfg.base + "/" + rel, cfg)
+        if record is None:
+            return _NOT_FOUND
+        base, langs = statement_dir(record), record.languages()
+    doc = _DOC_SUFFIX.get(select_media_type(accept))
+    if doc is None:
+        doc = f"index.{select_language(langs, accept_language, snapshot.default_lang)}.html"
+    return 303, (("Vary", VARY), ("Location", f"/{base}{doc}"), ("Content-Length", "0")), b""
 
 
 def handle_request(
     method: str, path: str, headers: dict[str, str], snapshot: Snapshot
-) -> tuple[int, list[tuple[str, str]], bytes]:
-    headers = {k.lower(): v for k, v in headers.items()}
+) -> Response:
     if method not in ("GET", "HEAD"):
-        return 405, [("Vary", VARY), ("Allow", "GET, HEAD"), ("Content-Length", "0")], b""
-    path = path.partition("?")[0]
-
-    decision = negotiate(
-        path,
-        parse_accept(headers.get("accept")),
-        parse_accept_language(headers.get("accept-language")),
-        snapshot.manifest,
-        snapshot.vocabulary,
-        snapshot.cfg,
-        snapshot.default_lang,
-    )
-    out = [("Vary", VARY)]
-    body = b""
-    if decision.status == 303:
-        out.append(("Location", "/" + decision.location))
-    elif decision.status == 200:
-        entry = snapshot.manifest.entries[path.lstrip("/")]
-        out.append(("Content-Type", decision.media_type + "; charset=utf-8"))
-        if decision.content_language:
-            out.append(("Content-Language", decision.content_language))
-        body = entry.content
-    else:
-        out.append(("Content-Type", "text/plain; charset=utf-8"))
-        body = b"404 not found\n"
-    out.append(("Content-Length", str(len(body))))
-    if method == "HEAD":
-        body = b""
-    return decision.status, out, body
+        return _METHOD_NOT_ALLOWED
+    rel = path.partition("?")[0].lstrip("/")
+    response = snapshot.documents.get(rel)
+    if response is None:
+        headers = {k.lower(): v for k, v in headers.items()}
+        response = negotiate(rel, parse_accept(headers.get("accept")),
+                             parse_accept_language(headers.get("accept-language")), snapshot)
+    return (response[0], response[1], b"") if method == "HEAD" else response
 
 
 class NegotiationServer:
@@ -261,6 +235,8 @@ class NegotiationServer:
     def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # TCP_NODELAY: the body must not wait for the header block's ACK
+            disable_nagle_algorithm = True
             # seconds a connection may stall mid-request before it is closed
             timeout = 60
 

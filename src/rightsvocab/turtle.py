@@ -322,7 +322,9 @@ def _predicate_str(iri: Iri) -> str:
 
 def _inlinable(g: Graph) -> set[BlankNode]:
     """Blank nodes referenced exactly once as object, except those on a
-    cycle of such nodes, which nothing outside the cycle would write."""
+    cycle of such nodes, which nothing outside the cycle would write, and
+    those that would nest deeper than ``MAX_NESTING``, which are written
+    with a label and start their own subtree at depth 1."""
     # the subject that refers to a blank node, or None if more than one does
     parent: dict[BlankNode, Optional[SubjectTerm]] = {}
     for t in g:
@@ -343,7 +345,21 @@ def _inlinable(g: Graph) -> set[BlankNode]:
             node = parent[node]
         if node in path:
             inline.difference_update(itertools.islice(path, path[node], None))
-    return inline
+
+    # nesting depth below the nearest labelled ancestor; 0 marks a node that
+    # would pass the cap and is labelled instead
+    depth: dict[BlankNode, int] = {}
+    for start in inline:
+        chain = []
+        node = start
+        while node in inline and node not in depth:
+            chain.append(node)
+            node = parent[node]
+        d = depth.get(node, 0)
+        for node in reversed(chain):
+            d = d + 1 if d < MAX_NESTING else 0
+            depth[node] = d
+    return {b for b in inline if depth[b]}
 
 
 def serialize_turtle(g: Graph) -> str:

@@ -69,6 +69,13 @@ def test_structure_difference_with_equal_signature_counts():
     b = Graph(chain(b1, b2, b3) + [Triple(b2, Iri(EX + "p"), b4)])
     assert not graphs_isomorphic(a, b)
 
+    # one 6-cycle and two 3-cycles: every node has the same signature
+    def cycle(nodes):
+        return [Triple(n, Iri(EX + "p"), m) for n, m in zip(nodes, nodes[1:] + nodes[:1])]
+
+    six = [BlankNode(f"c{i}") for i in range(6)]
+    assert not graphs_isomorphic(Graph(cycle(six)), Graph(cycle(six[:3]) + cycle(six[3:])))
+
 
 def test_blank_node_limit():
     ids = itertools.count()

@@ -1,5 +1,8 @@
 import http.client
 import socket
+import statistics
+import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -11,11 +14,11 @@ from rightsvocab import (
     NegotiationServer,
     Snapshot,
     handle_request,
-    negotiate,
     parse_accept,
     parse_accept_language,
 )
 from rightsvocab.server import select_language, select_media_type
+from rightsvocab.site import statement_dir
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,17 @@ def test_q_zero_language_excluded_from_matching():
     assert select_language(["en", "xx"], ranges) == "en"
 
 
+def test_q_zero_refuses_its_language_for_every_other_range():
+    assert select_language(["nl", "pt"], parse_accept_language("nl;q=0, *")) == "pt"
+    assert select_language(["nl-BE", "pt"], parse_accept_language("*, nl;q=0")) == "pt"
+    # a q=0 range refuses only its own tag and its extensions
+    assert select_language(["nl", "nl-BE"], parse_accept_language("nl-BE;q=0, nl")) == "nl"
+    # *;q=0 refuses only what no other range names
+    assert select_language(["en", "nl"], parse_accept_language("nl, *;q=0")) == "nl"
+    # with every tag refused, the fallback is unchanged
+    assert select_language(["en", "nl"], parse_accept_language("en;q=0, nl;q=0, *")) == "en"
+
+
 def test_language_prefix_matching():
     assert select_language(["nl", "en"], parse_accept_language("nl-BE")) == "nl"
     assert select_language(["nl-BE", "en"], parse_accept_language("nl")) == "nl-BE"
@@ -116,13 +130,16 @@ def test_select_media_specific_types():
 
 
 def _decide(snapshot, path, accept=None, lang=None):
-    return negotiate(
-        path,
-        parse_accept(accept),
-        parse_accept_language(lang),
-        snapshot.manifest,
-        snapshot.vocabulary,
-        snapshot.cfg,
+    """What a GET of ``path`` answers: its status, Location (without the
+    leading slash), media type and Content-Language."""
+    sent = {k: v for k, v in (("Accept", accept), ("Accept-Language", lang)) if v is not None}
+    status, headers, _ = handle_request("GET", "/" + path, sent, snapshot)
+    headers = dict(headers)
+    return SimpleNamespace(
+        status=status,
+        location=headers.get("Location", "/")[1:] or None,
+        media_type=headers["Content-Type"].partition(";")[0] if status == 200 else None,
+        content_language=headers.get("Content-Language"),
     )
 
 
@@ -213,6 +230,52 @@ def test_handle_request_deterministic(snapshot):
     assert a == b
 
 
+@st.composite
+def _requests(draw, snapshot):
+    """A method, a path and headers: documents, statement and scheme URIs
+    with or without their trailing slash, with doubled slashes or validity
+    qualifiers, any of them with a query string, and junk."""
+    docs = sorted(snapshot.manifest.entries)
+    dirs = ["rs/"] + sorted(statement_dir(r) for r in snapshot.vocabulary.statements.values())
+    stem = draw(st.sampled_from(docs + dirs) | st.text(max_size=20))
+    if stem in dirs and draw(st.booleans()):
+        date = draw(st.dates()).isoformat()
+        stem += draw(st.sampled_from(["from", "until"])) + "/" + date + "/"
+    shape = draw(st.sampled_from(["", "no slash", "doubled"]))
+    if shape == "no slash":
+        stem = stem.rstrip("/")
+    elif shape == "doubled":
+        stem = stem.replace("/", "//")
+    path = "/" + stem + draw(st.sampled_from(["", "?", "?a=1", "?x=/rs/"]))
+    headers = {}
+    for name, values in (
+        ("Accept", ["text/turtle", "application/ld+json", "text/html;q=0.2, */*", "x"]),
+        ("Accept-Language", ["nl", "en;q=0.5, nl", "nl;q=0, *", "pt-br", "*"]),
+    ):
+        value = draw(st.none() | st.sampled_from(values) | st.text(max_size=12))
+        if value is not None:
+            headers[draw(st.sampled_from([name, name.lower(), name.upper()]))] = value
+    method = draw(st.sampled_from(["GET", "HEAD", "POST", "PUT", "PATCH"]))
+    return method, path, headers
+
+
+@given(st.data())
+def test_handle_request_contract(snapshot, data):
+    method, path, headers = data.draw(_requests(snapshot))
+    status, out, body = handle_request(method, path, headers, snapshot)
+    get = handle_request("GET", path, headers, snapshot)
+    fields = dict(out)
+    assert status in (200, 303, 404, 405)
+    assert fields["Vary"] == "Accept, Accept-Language"
+    if method == "HEAD":
+        assert (status, out, body) == (get[0], get[1], b"")
+    elif method != "GET":
+        assert status == 405 and not body
+    assert int(fields["Content-Length"]) == len(body if method != "HEAD" else get[2])
+    if status == 303:
+        assert handle_request("GET", fields["Location"], headers, snapshot)[0] == 200
+
+
 @pytest.fixture
 def live_address(snapshot):
     server = NegotiationServer(snapshot)
@@ -293,6 +356,21 @@ def test_live_server_closes_stalled_requests(snapshot):
     assert replies[0] == b""
     assert replies[1].startswith(b"HTTP/1.1 405 ")
     assert b"\r\nConnection: close\r\n" in replies[1]
+
+
+def test_live_server_answers_keep_alive_documents_without_delay(live_address):
+    # a header block and a body sent as two writes must not wait for an
+    # ACK (Nagle's algorithm with delayed ACKs stalls each one ~40 ms)
+    conn = http.client.HTTPConnection(*live_address)
+    times = []
+    for _ in range(20):
+        started = time.perf_counter()
+        conn.request("GET", "/rs/ic-edu/1.0/data.ttl")
+        resp = conn.getresponse()
+        assert resp.status == 200 and resp.read()
+        times.append(time.perf_counter() - started)
+    conn.close()
+    assert statistics.median(times) < 0.020
 
 
 def test_live_server_round_trip(snapshot):

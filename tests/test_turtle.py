@@ -229,6 +229,25 @@ def test_chain_at_the_bound_round_trips():
     assert len(again) == len(g) and serialize_turtle(again) == out
 
 
+def _chain_length(g: Graph) -> int:
+    """Links from the one node no triple points to, along single links."""
+    objects = {t.object for t in g}
+    (node,) = [s for s in g.subjects() if s not in objects]
+    length = 0
+    while nxt := g.objects(node, Iri(EX + "p")):
+        (node,) = nxt
+        length += 1
+    return length
+
+
+@pytest.mark.parametrize("links", [150, 600])
+def test_chain_past_the_bound_is_written_with_labels(links):
+    text = "".join(f"_:a{k} <{EX}p> _:a{k + 1} .\n" for k in range(links))
+    out = serialize_turtle(parse_turtle(text))
+    again = parse_turtle(out)
+    assert len(again) == links and _chain_length(again) == links
+
+
 def test_rdf_type_is_written_as_a_in_predicate_position_only():
     t = Iri(RDF_TYPE)
     g = Graph([Triple(t, t, t)])
