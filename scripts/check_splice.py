@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Check that a build's whole-vocabulary documents equal a fresh
+serialization of the whole vocabulary graph.
+
+``generate_site`` assembles ``rs/data.ttl`` and ``rs/data.jsonld`` from the
+per-statement documents.  This script compares both, byte for byte, with
+``serialize_turtle`` and ``serialize_jsonld`` of ``vocabulary_to_graph`` on
+the benchmark's generated vocabularies: ``stress(seed, 200)`` and
+``realistic(seed)`` for seeds 1 to 3.  It imports the program from ``src/``
+and the generator from ``perfbench/`` of this checkout.
+
+Usage: python3 scripts/check_splice.py
+Exits 1 and names each differing document if any differs, else 0.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from rightsvocab import generate_site, load_vocabulary, parse_turtle  # noqa: E402
+from rightsvocab.jsonld import serialize_jsonld  # noqa: E402
+from rightsvocab.site import vocabulary_to_graph  # noqa: E402
+from rightsvocab.turtle import serialize_turtle  # noqa: E402
+
+import vocabgen  # noqa: E402
+
+FIXTURE = ROOT / "tests" / "fixtures" / "vocabulary.ttl"
+
+
+def main() -> int:
+    failures = 0
+    for seed in (1, 2, 3):
+        cases = {
+            f"stress({seed}, 200)": vocabgen.stress(seed, FIXTURE, 200),
+            f"realistic({seed})": vocabgen.realistic(seed, FIXTURE),
+        }
+        for name, generated in cases.items():
+            vocab, report = load_vocabulary(parse_turtle(generated.turtle))
+            if not report.accepted:
+                print(f"FAILED {name}: {report.errors[:3]}")
+                failures += 1
+                continue
+            entries = generate_site(vocab).entries
+            full = vocabulary_to_graph(vocab)
+            for path, expected in (("rs/data.ttl", serialize_turtle(full)),
+                                   ("rs/data.jsonld", serialize_jsonld(full))):
+                if entries[path].content != expected.encode("utf-8"):
+                    print(f"FAILED {name}: {path} differs from the full graph's document")
+                    failures += 1
+            print(f"{name}: {len(vocab.statements)} statements checked")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

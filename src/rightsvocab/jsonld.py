@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
-from .model import BlankNode, Graph, Iri, Literal, Term, display_names
+from .model import BlankNode, Graph, Iri, Literal, Term, Triple, display_names
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
@@ -22,10 +23,8 @@ def _node_id(term, names) -> str:
 
 
 def _object_json(term: Term, names) -> object:
-    if isinstance(term, Iri):
-        return {"@id": term.value}
-    if isinstance(term, BlankNode):
-        return {"@id": f"_:{names[term]}"}
+    if not isinstance(term, Literal):
+        return {"@id": _node_id(term, names)}
     out: dict = {"@value": term.lexical}
     if term.lang:
         out["@language"] = term.lang
@@ -34,10 +33,18 @@ def _object_json(term: Term, names) -> object:
     return out
 
 
-def serialize_jsonld(g: Graph) -> str:
-    names = display_names(g)
+def _value_key(v) -> object:
+    """Orders as ``json.dumps(v, sort_keys=True)`` text, so ``"x!y"`` < ``"x"``."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return [(k, encode_basestring_ascii(v[k])) for k in sorted(v)]
+
+
+def jsonld_document(triples: list[Triple]) -> str:
+    """The document of ``triples``, given in sorted triple order."""
+    names = display_names(triples)
     nodes: dict[str, dict] = {}
-    for t in g.sorted_triples():
+    for t in triples:
         node = nodes.setdefault(_node_id(t.subject, names), {})
         if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri):
             node.setdefault("@type", []).append(_compact(t.object.value))
@@ -45,11 +52,13 @@ def serialize_jsonld(g: Graph) -> str:
         key = _compact(t.predicate.value)
         node.setdefault(key, []).append(_object_json(t.object, names))
     graph = []
-    for node_id in sorted(nodes):
-        node = {"@id": node_id}
-        for key in sorted(nodes[node_id]):
-            values = nodes[node_id][key]
-            node[key] = sorted(values, key=lambda v: json.dumps(v, sort_keys=True))
-        graph.append(node)
+    for node_id, node in sorted(nodes.items()):
+        for values in node.values():
+            values.sort(key=_value_key)
+        graph.append({"@id": node_id, **node})
     doc = {"@context": dict(sorted(NAMESPACE_TABLE.items())), "@graph": graph}
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def serialize_jsonld(g: Graph) -> str:
+    return jsonld_document(g.sorted_triples())

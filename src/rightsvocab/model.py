@@ -154,10 +154,10 @@ class Graph:
         return Graph(self._triples | other._triples)
 
 
-def display_names(g: Graph) -> dict[BlankNode, str]:
-    """Renumber blank nodes by first appearance in sorted triple order."""
+def display_names(triples: Iterable[Triple]) -> dict[BlankNode, str]:
+    """Renumber blank nodes by first appearance in ``triples``, in sorted order."""
     names: dict[BlankNode, str] = {}
-    for t in g.sorted_triples():
+    for t in triples:
         for term in (t.subject, t.object):
             if isinstance(term, BlankNode) and term not in names:
                 names[term] = f"b{len(names)}"

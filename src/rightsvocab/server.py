@@ -16,7 +16,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Mapping, Optional
 
 from .model import normalize_lang
 from .site import SiteManifest, statement_dir
@@ -216,16 +216,19 @@ def negotiate(rel: str, accept: list[MediaRange], accept_language: list[Language
 
 
 def handle_request(
-    method: str, path: str, headers: dict[str, str], snapshot: Snapshot
+    method: str, path: str, headers: Mapping[str, str], snapshot: Snapshot
 ) -> Response:
     if method not in ("GET", "HEAD"):
         return _METHOD_NOT_ALLOWED
     rel = path.partition("?")[0].lstrip("/")
     response = snapshot.documents.get(rel)
     if response is None:
-        headers = {k.lower(): v for k, v in headers.items()}
-        response = negotiate(rel, parse_accept(headers.get("accept")),
-                             parse_accept_language(headers.get("accept-language")), snapshot)
+        fields: dict[str, str] = {}  # repeated lines form one list (RFC 9110 §5.3)
+        for name, value in headers.items():
+            name = name.lower()
+            fields[name] = f"{fields[name]}, {value}" if name in fields else value
+        response = negotiate(rel, parse_accept(fields.get("accept")),
+                             parse_accept_language(fields.get("accept-language")), snapshot)
     return (response[0], response[1], b"") if method == "HEAD" else response
 
 
@@ -249,7 +252,7 @@ class NegotiationServer:
             def _respond(self):
                 keep_alive = self._discard_body()
                 status, headers, body = handle_request(
-                    self.command, self.path, dict(self.headers.items()), snapshot
+                    self.command, self.path, self.headers, snapshot
                 )
                 self.send_response(status)
                 for k, v in headers:

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import html as html_mod
 import itertools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .jsonld import serialize_jsonld
-from .model import BlankNode, Graph, Iri, Literal, Triple
+from .jsonld import jsonld_document, serialize_jsonld
+from .model import BlankNode, Graph, Iri, Literal, Triple, term_sort_key
 from .namespaces import NAMESPACE_TABLE, ODRL, RDF_TYPE, SKOS
-from .turtle import serialize_turtle
+from .turtle import PREFIXES, serialize_turtle, turtle_blocks
 from .uris import DEFAULT_CONFIG, NamespaceConfig, build_statement_uri
 from .vocab import (
     CONCEPT_SCHEME_CLASS,
@@ -98,11 +99,16 @@ def restrict_to_language(g: Graph, lang: str) -> Graph:
     )
 
 
+def _scheme_graph(v: Vocabulary) -> Graph:
+    return Graph([Triple(v.scheme_uri, Iri(RDF_TYPE), CONCEPT_SCHEME_CLASS)] + [
+        Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()
+    ])
+
+
 def vocabulary_to_graph(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Graph:
+    """The whole vocabulary as one graph, whose documents are ``rs/data.*``."""
     counter = itertools.count()
-    triples = [Triple(v.scheme_uri, Iri(RDF_TYPE), CONCEPT_SCHEME_CLASS)]
-    for lang, text in v.title.items():
-        triples.append(Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)))
+    triples = list(_scheme_graph(v))
     for key in sorted(v.statements):
         triples.extend(record_to_graph(v.statements[key], cfg, counter))
     return Graph(triples)
@@ -122,6 +128,11 @@ def _esc(s: str) -> str:
     return html_mod.escape(s, quote=True)
 
 
+def _head(lang: str, title: str) -> list[str]:
+    return ["<!DOCTYPE html>", f'<html lang="{_esc(lang)}" prefix="{_esc(_PREFIX_ATTR)}">',
+            "<head>", '<meta charset="utf-8">', f"<title>{_esc(title)}</title>", "</head>", "<body>"]
+
+
 def _iri_link(prop: str, iri: Iri) -> str:
     v = _esc(iri.value)
     return f'<a property="{prop}" resource="{v}" href="{v}">{v}</a>'
@@ -137,14 +148,7 @@ def render_statement_html(
         raise KeyError(f"no {lang!r} translation for {r.uri.name}")
     uri = build_statement_uri(r.uri, cfg)
     label = r.pref_labels[lang]
-    lines = [
-        "<!DOCTYPE html>",
-        f'<html lang="{_esc(lang)}" prefix="{_esc(_PREFIX_ATTR)}">',
-        "<head>",
-        '<meta charset="utf-8">',
-        f"<title>{_esc(label)}</title>",
-        "</head>",
-        "<body>",
+    lines = _head(lang, label) + [
         f'<article about="{_esc(uri)}" typeof="dcterms:RightsStatement">',
         f'<h1 property="skos:prefLabel" lang="{_esc(lang)}">{_esc(label)}</h1>',
         f'<p property="skos:definition" lang="{_esc(lang)}">{_esc(r.definitions[lang])}</p>'
@@ -203,16 +207,8 @@ def render_overview_html(
 ) -> str:
     title_lang = lang if lang in v.title else "en"
     title = v.title.get(title_lang, "Rights statements")
-    lines = [
-        "<!DOCTYPE html>",
-        f'<html lang="{_esc(lang)}" prefix="{_esc(_PREFIX_ATTR)}">',
-        "<head>",
-        '<meta charset="utf-8">',
-        f"<title>{_esc(title)}</title>",
-        "</head>",
-        "<body>",
-        f'<main about="{_esc(cfg.scheme_uri())}" typeof="skos:ConceptScheme">',
-    ]
+    lines = _head(lang, title)
+    lines.append(f'<main about="{_esc(cfg.scheme_uri())}" typeof="skos:ConceptScheme">')
     if title_lang in v.title:
         lines.append(
             f'<h1 property="dcterms:title" lang="{_esc(title_lang)}">{_esc(title)}</h1>'
@@ -230,15 +226,23 @@ def render_overview_html(
 
 
 def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteManifest:
+    """Every document; ``rs/data.*`` are spliced from the per-statement ones."""
     manifest = SiteManifest()
     counter = itertools.count()
     all_langs: set[str] = set(v.title) | {"en"}
+    scheme = _scheme_graph(v)
+    blocks = {v.scheme_uri: turtle_blocks(scheme)[0]}
+    about = {v.scheme_uri: scheme.triples_about(v.scheme_uri)}
     for key in sorted(v.statements):
         r = v.statements[key]
         base = statement_dir(r)
         g = record_to_graph(r, cfg, counter)
-        manifest.add(base + "data.ttl", serialize_turtle(g), "text/turtle")
+        ttl = serialize_turtle(g)
+        manifest.add(base + "data.ttl", ttl, "text/turtle")
         manifest.add(base + "data.jsonld", serialize_jsonld(g), "application/ld+json")
+        # a record's blank nodes are all inlined: its document has one block
+        blocks[Iri(build_statement_uri(r.uri, cfg))] = ttl[len(PREFIXES) + 2:-1]
+        about.update((s, g.triples_about(s)) for s in g.subjects())
         for lang in r.languages():
             manifest.add(
                 base + f"index.{lang}.html",
@@ -247,9 +251,10 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
                 language=lang,
             )
         all_langs.update(r.languages())
-    full = vocabulary_to_graph(v, cfg)
-    manifest.add("rs/data.ttl", serialize_turtle(full), "text/turtle")
-    manifest.add("rs/data.jsonld", serialize_jsonld(full), "application/ld+json")
+    turtle = [PREFIXES] + [blocks[s] for s in sorted(blocks, key=term_sort_key)]
+    manifest.add("rs/data.ttl", "\n\n".join(turtle) + "\n", "text/turtle")
+    jsonld = jsonld_document([t for s in sorted(about, key=term_sort_key) for t in about[s]])
+    manifest.add("rs/data.jsonld", jsonld, "application/ld+json")
     for lang in sorted(all_langs):
         manifest.add(
             f"rs/index.{lang}.html",
@@ -261,9 +266,9 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
 
 
 def write_manifest(manifest: SiteManifest, out_dir: Path) -> int:
-    out_dir = Path(out_dir)
-    for rel, entry in sorted(manifest.entries.items()):
-        target = out_dir / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(entry.content)
+    for parent in {rel.rpartition("/")[0] for rel in manifest.entries}:
+        os.makedirs(os.path.join(out_dir, parent), exist_ok=True)
+    for rel, entry in manifest.entries.items():
+        with open(os.path.join(out_dir, rel), "wb") as f:
+            f.write(entry.content)
     return len(manifest.entries)

@@ -75,7 +75,7 @@ _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
 # Deepest nesting of ``[ ... ]`` the reader takes.  It spends 3 stack frames
-# per level, and the writer 2, so both stay far below Python's default limit
+# per level, and the writer 1, so both stay far below Python's default limit
 # of 1000 frames on such a graph.
 MAX_NESTING = 100
 
@@ -315,11 +315,6 @@ def _shrink_iri(iri: Iri) -> str:
     return f"<{iri.value}>"
 
 
-def _predicate_str(iri: Iri) -> str:
-    # ``a`` stands for rdf:type in predicate position only
-    return "a" if iri.value == RDF_TYPE else _shrink_iri(iri)
-
-
 def _inlinable(g: Graph) -> set[BlankNode]:
     """Blank nodes referenced exactly once as object, except those on a
     cycle of such nodes, which nothing outside the cycle would write, and
@@ -362,49 +357,47 @@ def _inlinable(g: Graph) -> set[BlankNode]:
     return {b for b in inline if depth[b]}
 
 
-def serialize_turtle(g: Graph) -> str:
-    lines = [f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items()]
-    names = display_names(g)
+PREFIXES = "\n".join(f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items())
+
+
+def turtle_blocks(g: Graph) -> list[str]:
+    """Each subject's block, in subject order, except the blank nodes written
+    inline: the subject, its predicate-object list and the closing `` .``."""
+    names = display_names(g.sorted_triples())
     inline = _inlinable(g)
+    out: list[str] = []  # every nesting level appends here, so no text is copied twice
 
-    def term_str(term: Term, indent: int) -> str:
-        if isinstance(term, Iri):
-            return _shrink_iri(term)
-        if isinstance(term, Literal):
-            s = f'"{term.lexical.translate(_STR_ESC)}"'
-            if term.lang:
-                s += f"@{term.lang}"
-            elif term.datatype:
-                s += f"^^{_shrink_iri(term.datatype)}"
-            return s
-        if term in inline:
-            return property_list(term, indent)
-        return f"_:{names[term]}"
+    def predicates(triples: list[Triple], indent: int) -> None:
+        pad = "    " * indent
+        for i, t in enumerate(triples):
+            # ``a`` stands for rdf:type in predicate position only
+            p = "a" if t.predicate.value == RDF_TYPE else _shrink_iri(t.predicate)
+            out.append(f"{' ;' if i else ''}\n{pad}{p} ")
+            obj = t.object
+            if isinstance(obj, Iri):
+                out.append(_shrink_iri(obj))
+            elif isinstance(obj, Literal):
+                out.append(f'"{obj.lexical.translate(_STR_ESC)}"')
+                if obj.lang:
+                    out.append(f"@{obj.lang}")
+                elif obj.datatype:
+                    out.append(f"^^{_shrink_iri(obj.datatype)}")
+            elif obj not in inline:
+                out.append(f"_:{names[obj]}")
+            elif nested := g.triples_about(obj):
+                out.append("[")
+                predicates(nested, indent + 1)
+                out.append(f"\n{pad}]")
+            else:
+                out.append("[]")
 
-    def property_list(node: BlankNode, indent: int) -> str:
-        pad = "    " * (indent + 1)
-        parts = []
-        for t in g.triples_about(node):
-            parts.append(f"{pad}{_predicate_str(t.predicate)} {term_str(t.object, indent + 1)}")
-        if not parts:
-            return "[]"
-        return "[\n" + " ;\n".join(parts) + "\n" + "    " * indent + "]"
+    blocks = []
+    for subject in sorted(g.subjects() - inline, key=term_sort_key):
+        out[:] = [_shrink_iri(subject) if isinstance(subject, Iri) else f"_:{names[subject]}"]
+        predicates(g.triples_about(subject), 1)
+        blocks.append("".join(out) + " .")
+    return blocks
 
-    top_subjects = sorted(
-        (s for s in g.subjects() if not (isinstance(s, BlankNode) and s in inline)),
-        key=term_sort_key,
-    )
-    for subject in top_subjects:
-        if lines:
-            lines.append("")
-        subj_str = (
-            _shrink_iri(subject)
-            if isinstance(subject, Iri)
-            else f"_:{names[subject]}"
-        )
-        parts = []
-        for t in g.triples_about(subject):
-            parts.append(f"    {_predicate_str(t.predicate)} {term_str(t.object, 1)}")
-        lines.append(subj_str)
-        lines.append(" ;\n".join(parts) + " .")
-    return "\n".join(lines) + "\n"
+
+def serialize_turtle(g: Graph) -> str:
+    return "\n\n".join([PREFIXES, *turtle_blocks(g)]) + "\n"

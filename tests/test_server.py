@@ -358,6 +358,17 @@ def test_live_server_closes_stalled_requests(snapshot):
     assert b"\r\nConnection: close\r\n" in replies[1]
 
 
+@pytest.mark.parametrize("lines, location", [
+    (b"Accept-Language: nl\r\nAccept-Language: fr;q=0.1\r\n", b"/rs/index.nl.html"),
+    (b"Accept: text/turtle\r\naccept: text/html;q=0.1\r\n", b"/rs/data.ttl"),
+], ids=["accept-language", "accept"])
+def test_live_server_joins_repeated_header_lines(live_address, lines, location):
+    # RFC 9110 §5.3: repeated field lines are one comma-separated list
+    reply = _exchange(live_address, b"GET /rs/ HTTP/1.1\r\nHost: x\r\n" + lines + b"\r\n")
+    assert reply.startswith(b"HTTP/1.1 303 ")
+    assert b"\r\nLocation: " + location + b"\r\n" in reply
+
+
 def test_live_server_answers_keep_alive_documents_without_delay(live_address):
     # a header block and a body sent as two writes must not wait for an
     # ACK (Nagle's algorithm with delayed ACKs stalls each one ~40 ms)

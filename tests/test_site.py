@@ -1,6 +1,13 @@
+import json
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rightsvocab import (
+    Iri,
+    StatementRecord,
+    StatementUri,
     Vocabulary,
     extract_rdfa,
     graphs_isomorphic,
@@ -9,13 +16,19 @@ from rightsvocab import (
     render_overview_html,
     render_statement_html,
     generate_site,
+    serialize_jsonld,
+    serialize_turtle,
 )
+from rightsvocab.jsonld import _value_key
+from rightsvocab.namespaces import ODRL
 from rightsvocab.site import (
     record_to_graph,
     restrict_to_language,
     statement_dir,
+    vocabulary_to_graph,
     write_manifest,
 )
+from rightsvocab.vocab import ConstraintSpec, MatchSpec, PermissionSpec
 
 from conftest import fixture_text, jsonld_walk
 
@@ -174,3 +187,65 @@ def test_manifest_paths_are_safe(manifest):
     for path in manifest.entries:
         assert not path.startswith("/")
         assert ".." not in path.split("/")
+
+
+def _splice_vocabulary() -> Vocabulary:
+    """Statement keys in the reverse of IRI order, a statement with eleven
+    permissions (``_:b0`` to ``_:b10``, which sort as text), a jurisdiction,
+    and two match IRIs of which one is the other followed by ``!y``."""
+
+    def record(name, version, jurisdiction, permissions, matches=()):
+        return StatementRecord(
+            uri=StatementUri(name, version, jurisdiction), identifier=name,
+            pref_labels={"en": name.upper(), "nl": f"{name} (nl)"},
+            definitions={"en": f"The {name} statement."}, creator="Rights WG",
+            version=version, modified="2015-05-02",
+            matches=tuple(MatchSpec("closeMatch", Iri(m)) for m in matches),
+            permissions=tuple(
+                PermissionSpec(Iri(ODRL + "use"), (ConstraintSpec(
+                    Iri(ODRL + "eq"), Iri(f"http://example.org/purpose/{k}")),))
+                for k in range(permissions)
+            ),
+            jurisdiction=jurisdiction,
+        )
+
+    records = [
+        record("aa", "1.0", None, 11, ["http://example.org/x", "http://example.org/x!y"]),
+        record("aa", "1.0", "US", 1),
+        record("mm", "1.0", None, 0, ["http://example.org/m"]),
+        record("zz", "2.0", None, 1),
+    ]
+    keys = ["k4", "k3", "k2", "k1"]  # reverse of the IRI order
+    return Vocabulary(Iri("http://rightsstatements.org/rs/"),
+                      {"en": "Rights Statements", "nl": "Rechtenverklaringen"},
+                      dict(zip(keys, records)))
+
+
+def test_whole_vocabulary_documents_equal_the_full_graph_documents():
+    v = _splice_vocabulary()
+    manifest = generate_site(v)
+    full = vocabulary_to_graph(v)
+    jsonld = manifest.entries["rs/data.jsonld"].content.decode()
+    node = next(n for n in json.loads(jsonld)["@graph"] if n["@id"].endswith("/aa/1.0/"))
+    assert {"@id": "_:b9"} in node["odrl:permission"]
+    assert {"@id": "_:b10"} in node["odrl:permission"]
+    assert manifest.entries["rs/data.ttl"].content.decode() == serialize_turtle(full)
+    assert jsonld == serialize_jsonld(full)
+
+
+# strings the JSON text of a value sorts by: quotes, backslashes, control
+# and non-ASCII characters escape, and "!" sorts before the closing quote
+_json_text = st.text(alphabet=st.sampled_from('ab!"#\\/\n\x01é€😀'), max_size=6)
+_json_values = st.one_of(
+    st.builds(lambda i: {"@id": i}, _json_text),
+    st.builds(lambda v: {"@value": v}, _json_text),
+    st.builds(lambda v, lang: {"@value": v, "@language": lang}, _json_text, _json_text),
+    st.builds(lambda v, t: {"@value": v, "@type": t}, _json_text, _json_text),
+)
+
+
+@given(st.lists(_json_values, max_size=8) | st.lists(_json_text, max_size=8))
+@example([{"@id": "http://a/x"}, {"@id": "http://a/x!y"}])
+def test_value_key_orders_as_the_json_text(values):
+    assert sorted(values, key=_value_key) == \
+        sorted(values, key=lambda v: json.dumps(v, sort_keys=True))
