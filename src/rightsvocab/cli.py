@@ -12,8 +12,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from urllib.parse import urlsplit
 
-from .model import normalize_lang
+from .model import Iri
 from .site import SiteManifest, generate_site, write_manifest
 from .server import NegotiationServer, Snapshot
 from .turtle import TurtleSyntaxError, parse_turtle
@@ -34,11 +35,15 @@ EXIT_ENV = 2
 @dataclasses.dataclass
 class CliConfig:
     base: str = "http://rightsstatements.org"
-    default_lang: str = "en"
     report_format: str = "text"
 
     def __post_init__(self):
-        self.default_lang = normalize_lang(self.default_lang)
+        # every command builds URIs on the base: refuse a bad one before any runs
+        try:
+            Iri(self.namespace().scheme_uri())
+            urlsplit(self.base)
+        except ValueError as exc:
+            raise ValueError(f"--base {self.base!r}: {exc}") from None
 
     def namespace(self) -> NamespaceConfig:
         return NamespaceConfig(base=self.base)
@@ -158,10 +163,7 @@ def build_snapshot(path: str, cfg: CliConfig) -> Snapshot:
     manifest = generate_site(vocab, cfg.namespace())
     if site_dir:
         _check_tree(site_dir, manifest)
-    return Snapshot(
-        manifest=manifest, vocabulary=vocab,
-        cfg=cfg.namespace(), default_lang=cfg.default_lang,
-    )
+    return Snapshot(manifest=manifest, vocabulary=vocab, cfg=cfg.namespace())
 
 
 def _check_tree(site_dir: Path, manifest: SiteManifest) -> None:
@@ -191,7 +193,7 @@ def run_serve(path: str, host: str, port: int, cfg: CliConfig) -> int:
     snapshot = build_snapshot(path, cfg)
     try:
         server = NegotiationServer(snapshot, host=host, port=port)
-    except OSError as exc:
+    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
         raise CliError(f"cannot bind {host}:{port}: {exc}", EXIT_ENV)
     bound_host, bound_port = server.address
     print(f"serving on http://{bound_host}:{bound_port}/", file=sys.stderr)
@@ -209,8 +211,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--base", default="http://rightsstatements.org",
                         help="namespace base IRI")
-    parser.add_argument("--default-lang", default="en",
-                        help="default translation language")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report output format")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,8 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = CliConfig(base=args.base, default_lang=args.default_lang,
-                        report_format=args.format)
+        cfg = CliConfig(base=args.base, report_format=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENV

@@ -24,9 +24,11 @@ from .uris import DEFAULT_CONFIG, NamespaceConfig
 from .vocab import Vocabulary, lookup_statement
 
 SUPPORTED_TYPES = ("text/html", "text/turtle", "application/ld+json")
+_SUPPORTED = tuple((t, *t.split("/")) for t in SUPPORTED_TYPES)
 VARY = "Accept, Accept-Language"
 
 _Q_RE = re.compile(r"^q=(\d(?:\.\d{0,3})?)$")
+_LANGUAGE_RANGE_RE = re.compile(r"\*|[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class LanguageRange:
 def _parse_q(params: list[str]) -> Optional[float]:
     q = 1.0
     for p in params:
-        m = _Q_RE.match(p.replace(" ", "").lower())
+        m = _Q_RE.match(p.strip().replace(" ", "").lower())
         if m:
             q = float(m.group(1))
             if q > 1.0:
@@ -53,95 +55,62 @@ def _parse_q(params: list[str]) -> Optional[float]:
     return q
 
 
+def _elements(header: str):
+    """Each comma-separated element of ``header`` whose q is well formed:
+    its first part, its q and its position."""
+    for idx, part in enumerate(header.split(",")):
+        first, *params = part.split(";")
+        q = _parse_q(params)
+        if q is not None:
+            yield first.strip(), q, idx
+
+
 def parse_accept(header: Optional[str]) -> list[MediaRange]:
+    """The media ranges of ``header`` by q, then specificity, then position."""
     if header is None or not header.strip():
         return [MediaRange("*", "*", 1.0)]
     ranges = []
-    for idx, part in enumerate(header.split(",")):
-        bits = [b.strip() for b in part.split(";")]
-        mt = bits[0]
-        if "/" not in mt:
-            continue
-        type_, subtype = mt.split("/", 1)
-        if not type_ or not subtype or " " in type_ or " " in subtype:
-            continue
-        q = _parse_q(bits[1:])
-        if q is None:
-            continue
-        ranges.append((MediaRange(type_.lower(), subtype.lower(), q), idx))
-
-    def specificity(r: MediaRange) -> int:
-        if r.type == "*":
-            return 0
-        if r.subtype == "*":
-            return 1
-        return 2
-
-    ranges.sort(key=lambda ri: (-ri[0].q, -specificity(ri[0]), ri[1]))
-    return [r for r, _ in ranges]
+    for media_type, q, idx in _elements(header):
+        type_, _, subtype = media_type.lower().partition("/")
+        if type_ and subtype and " " not in media_type:
+            specificity = 0 if type_ == "*" else 1 if subtype == "*" else 2
+            ranges.append((-q, -specificity, idx, MediaRange(type_, subtype, q)))
+    return [r for *_, r in sorted(ranges)]
 
 
 def parse_accept_language(header: Optional[str]) -> list[LanguageRange]:
-    if header is None or not header.strip():
-        return []
-    ranges = []
-    for idx, part in enumerate(header.split(",")):
-        bits = [b.strip() for b in part.split(";")]
-        tag = bits[0]
-        if not tag or not re.match(r"^(\*|[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*)$", tag):
-            continue
-        q = _parse_q(bits[1:])
-        if q is None:
-            continue
-        ranges.append((LanguageRange(normalize_lang(tag) if tag != "*" else tag, q), idx))
-    ranges.sort(key=lambda ri: (-ri[0].q, ri[1]))
-    return [r for r, _ in ranges]
+    """The language ranges of ``header`` in normal form, by q, then position."""
+    ranges = sorted(
+        (-q, idx, LanguageRange(tag if tag == "*" else normalize_lang(tag), q))
+        for tag, q, idx in _elements(header or "") if _LANGUAGE_RANGE_RE.fullmatch(tag)
+    )
+    return [r for *_, r in ranges]
 
 
 def select_media_type(accept: list[MediaRange]) -> str:
-    """Best of the supported types; wildcards and ties go to HTML."""
-    scores = {}
-    for candidate in SUPPORTED_TYPES:
-        ctype, csub = candidate.split("/")
-        best = 0.0
-        best_spec = -1
-        for r in accept:
-            if r.type == ctype and r.subtype == csub:
-                spec = 2
-            elif r.type == ctype and r.subtype == "*":
-                spec = 1
-            elif r.type == "*" and r.subtype == "*":
-                spec = 0
-            else:
-                continue
-            if spec > best_spec:
-                best_spec = spec
-                best = r.q
-        scores[candidate] = best if best_spec >= 0 else 0.0
-    top = max(scores.values())
-    if top <= 0.0:
-        return "text/html"
-    # SUPPORTED_TYPES order encodes the tie-break: browsers first
-    for candidate in SUPPORTED_TYPES:
-        if scores[candidate] == top:
-            return candidate
-    return "text/html"
+    """The type whose most specific matching range has the highest q (RFC 9110
+    §12.5.1); ties, and a header that accepts none, go to HTML, the first type."""
+    best, best_q = "text/html", 0.0
+    for candidate, type_, subtype in _SUPPORTED:
+        q, specificity = 0.0, -1
+        for r in accept:  # sorted by q: the first range of each specificity counts
+            if r.type == type_ and r.subtype == subtype:
+                q = r.q
+                break
+            if specificity < 1 and r.type == type_ and r.subtype == "*":
+                q, specificity = r.q, 1
+            elif specificity < 0 and r.type == "*" and r.subtype == "*":
+                q, specificity = r.q, 0
+        if q > best_q:
+            best, best_q = candidate, q
+    return best
 
 
-def _lang_matches(range_tag: str, available: str) -> bool:
-    if range_tag == "*" or range_tag == available:
-        return True
-    return range_tag.startswith(available + "-") or available.startswith(range_tag + "-")
-
-
-def select_language(
-    available: list[str], ranges: list[LanguageRange], default: str = "en"
-) -> str:
+def select_language(available: list[str], ranges: list[LanguageRange]) -> str:
     """Total selection: always yields exactly one language.  A q=0 range
     refuses the tags it matches by RFC 4647 basic filtering (itself and
-    its extensions) for every other range, ``*`` included."""
-    if not available:
-        return default
+    its extensions) for every other range, ``*`` included.  When no range
+    selects a tag, English is served, or else the first available tag."""
     refused = {lang for r in ranges if r.q <= 0.0 for lang in available
                if lang == r.tag or lang.startswith(r.tag + "-")}
     candidates = sorted(set(available) - refused)
@@ -151,11 +120,9 @@ def select_language(
         if r.tag in candidates:
             return r.tag
         for lang in candidates:
-            if _lang_matches(r.tag, lang):
+            if r.tag == "*" or r.tag.startswith(lang + "-") or lang.startswith(r.tag + "-"):
                 return lang
-    if default in available:
-        return default
-    return sorted(available)[0]
+    return "en" if "en" in available or not available else min(available)
 
 
 _DOC_SUFFIX = {"text/turtle": "data.ttl", "application/ld+json": "data.jsonld"}
@@ -178,7 +145,6 @@ class Snapshot:
     manifest: SiteManifest
     vocabulary: Vocabulary
     cfg: NamespaceConfig = DEFAULT_CONFIG
-    default_lang: str = "en"
     documents: dict[str, Response] = field(init=False, repr=False, compare=False)
     overview_langs: list[str] = field(init=False, repr=False, compare=False)
 
@@ -197,10 +163,16 @@ class Snapshot:
         ))
 
 
-def negotiate(rel: str, accept: list[MediaRange], accept_language: list[LanguageRange],
-              snapshot: Snapshot) -> Response:
+def _field(headers: Mapping[str, str], name: str) -> Optional[str]:
+    """Field ``name`` (lower case), repeated lines joined as one list (RFC 9110 §5.3)."""
+    values = [value for key, value in headers.items() if key.lower() == name]
+    return ", ".join(values) if values else None
+
+
+def negotiate(rel: str, headers: Mapping[str, str], snapshot: Snapshot) -> Response:
     """The 303 for the scheme URI or a statement URI at ``rel`` (no
-    leading slash, no query), or 404."""
+    leading slash, no query), or 404.  A header is read only once the
+    URI resolves, and Accept-Language only when HTML is chosen."""
     if rel.rstrip("/") == "rs":
         base, langs = "rs/", snapshot.overview_langs
     else:
@@ -209,9 +181,10 @@ def negotiate(rel: str, accept: list[MediaRange], accept_language: list[Language
         if record is None:
             return _NOT_FOUND
         base, langs = statement_dir(record), record.languages()
-    doc = _DOC_SUFFIX.get(select_media_type(accept))
+    doc = _DOC_SUFFIX.get(select_media_type(parse_accept(_field(headers, "accept"))))
     if doc is None:
-        doc = f"index.{select_language(langs, accept_language, snapshot.default_lang)}.html"
+        ranges = parse_accept_language(_field(headers, "accept-language"))
+        doc = f"index.{select_language(langs, ranges)}.html"
     return 303, (("Vary", VARY), ("Location", f"/{base}{doc}"), ("Content-Length", "0")), b""
 
 
@@ -221,14 +194,7 @@ def handle_request(
     if method not in ("GET", "HEAD"):
         return _METHOD_NOT_ALLOWED
     rel = path.partition("?")[0].lstrip("/")
-    response = snapshot.documents.get(rel)
-    if response is None:
-        fields: dict[str, str] = {}  # repeated lines form one list (RFC 9110 §5.3)
-        for name, value in headers.items():
-            name = name.lower()
-            fields[name] = f"{fields[name]}, {value}" if name in fields else value
-        response = negotiate(rel, parse_accept(fields.get("accept")),
-                             parse_accept_language(fields.get("accept-language")), snapshot)
+    response = snapshot.documents.get(rel) or negotiate(rel, headers, snapshot)
     return (response[0], response[1], b"") if method == "HEAD" else response
 
 

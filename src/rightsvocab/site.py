@@ -269,6 +269,8 @@ def write_manifest(manifest: SiteManifest, out_dir: Path) -> int:
     for parent in {rel.rpartition("/")[0] for rel in manifest.entries}:
         os.makedirs(os.path.join(out_dir, parent), exist_ok=True)
     for rel, entry in manifest.entries.items():
-        with open(os.path.join(out_dir, rel), "wb") as f:
+        # no O_TRUNC: freeing and reallocating an existing file's blocks costs more than the write
+        with open(os.open(os.path.join(out_dir, rel), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.write(entry.content)
+            f.truncate()
     return len(manifest.entries)

@@ -12,6 +12,7 @@ from .uris import (
     DEFAULT_CONFIG,
     JURISDICTION_RE,
     NamespaceConfig,
+    NotInNamespaceError,
     StatementUri,
     UriError,
     build_statement_uri,
@@ -116,6 +117,8 @@ def _lang_map(g: Graph, subject, predicate: Iri, report, rule, name, label) -> d
         if obj.lang is None:
             report.error(rule, name, f"{label} {obj.lexical!r} has no language tag")
             continue
+        if obj.lang in out:
+            report.error(rule, name, f"more than one {label} in {obj.lang}")
         out[obj.lang] = obj.lexical
     return out
 
@@ -217,6 +220,12 @@ def load_vocabulary(
             report.error("R3", name, "no English definition")
         notes = _lang_map(g, subject, SCOPE_NOTE, report, "R2", name, "scope note")
 
+        for predicate, rule, label in (
+            (IDENTIFIER, "R4", "dc:identifier"), (HAS_VERSION, "R5", "dcterms:hasVersion"),
+            (MODIFIED, "R6", "dcterms:modified"), (COVERAGE, "R10", "dcterms:coverage"),
+        ):
+            if len(g.objects(subject, predicate)) > 1:
+                report.error(rule, name, f"more than one {label}")
         identifier = _single_plain(g, subject, IDENTIFIER) or ""
         if identifier != parsed.name:
             report.error(
@@ -410,22 +419,14 @@ def check_object_references(
             continue
         value = t.object.value
         try:
-            split_statement_path(value, cfg)
+            parsed = parse_statement_uri(value, cfg)
+        except NotInNamespaceError:
+            classification = EXTERNAL
         except UriError:
-            report.entries.append(
-                ReferenceEntry(subj, t.predicate.value, value, EXTERNAL)
-            )
-            continue
-        try:
-            parse_statement_uri(value, cfg)
-        except UriError:
-            report.entries.append(
-                ReferenceEntry(subj, t.predicate.value, value, MALFORMED)
-            )
-            continue
-        classification = (
-            RESOLVED if lookup_statement(v, value, cfg) is not None else UNKNOWN
-        )
+            classification = MALFORMED
+        else:
+            key = build_statement_uri(parsed.without_validity(), cfg)
+            classification = RESOLVED if key in v.statements else UNKNOWN
         report.entries.append(
             ReferenceEntry(subj, t.predicate.value, value, classification)
         )

@@ -7,6 +7,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from rightsvocab import cli
@@ -147,6 +148,19 @@ def test_build_unwritable_out_dir_is_exit_2(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("in the way")
     assert main(["build", VOCAB, "--out", str(blocked / "site")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--base", "", "validate", VOCAB],
+    ["--base", "foo", "validate", VOCAB],
+    ["--base", "http://example.org/a b", "validate", VOCAB],
+    ["--base", "http://[x", "validate", VOCAB],
+    ["serve", VOCAB, "--port", "99999"],
+], ids=["empty-base", "base-without-scheme", "base-with-space", "base-bad-ipv6", "port-out-of-range"])
+def test_odd_flags_exit_2_with_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_diff_identical_files(capsys):

@@ -17,6 +17,7 @@ from rightsvocab import (
     parse_accept,
     parse_accept_language,
 )
+from rightsvocab import server
 from rightsvocab.server import select_language, select_media_type
 from rightsvocab.site import statement_dir
 
@@ -127,6 +128,24 @@ def test_select_media_specific_types():
     assert select_media_type(
         parse_accept("application/ld+json;q=0.9, text/turtle;q=0.2")
     ) == "application/ld+json"
+
+
+def test_most_specific_range_sets_a_types_q():
+    # RFC 9110 §12.5.1: text/html;q=0.5 overrides text/*;q=1 for HTML only
+    assert select_media_type(parse_accept("text/*;q=1, text/html;q=0.5")) == "text/turtle"
+    assert select_media_type(parse_accept("*/*;q=0.9, text/html;q=0")) == "text/turtle"
+    assert select_media_type(parse_accept("text/*;q=0.5, */*")) == "application/ld+json"
+
+
+def test_language_header_is_read_only_for_html(snapshot, monkeypatch):
+    def refuse(header):
+        raise AssertionError("Accept-Language parsed")
+
+    monkeypatch.setattr(server, "parse_accept_language", refuse)
+    sent = {"Accept": "text/turtle", "Accept-Language": "nl"}
+    assert handle_request("GET", "/rs/ghost/1.0/", sent, snapshot)[0] == 404
+    status, headers, _ = handle_request("GET", "/rs/ic/1.0/", sent, snapshot)
+    assert (status, dict(headers)["Location"]) == (303, "/rs/ic/1.0/data.ttl")
 
 
 def _decide(snapshot, path, accept=None, lang=None):

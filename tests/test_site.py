@@ -22,6 +22,7 @@ from rightsvocab import (
 from rightsvocab.jsonld import _value_key
 from rightsvocab.namespaces import ODRL
 from rightsvocab.site import (
+    SiteManifest,
     record_to_graph,
     restrict_to_language,
     statement_dir,
@@ -181,6 +182,15 @@ def test_written_tree_equals_manifest(manifest, tmp_path):
         for p in tmp_path.rglob("*") if p.is_file()
     }
     assert written == {p: e.content for p, e in manifest.entries.items()}
+
+
+def test_rewrite_with_shorter_content_leaves_no_stale_tail(tmp_path):
+    site = SiteManifest()
+    site.add("rs/data.ttl", "a longer first version\n", "text/turtle")
+    write_manifest(site, tmp_path)
+    site.add("rs/data.ttl", "short\n", "text/turtle")
+    write_manifest(site, tmp_path)
+    assert (tmp_path / "rs" / "data.ttl").read_bytes() == b"short\n"
 
 
 def test_manifest_paths_are_safe(manifest):

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from rightsvocab import (
     Graph,
     Iri,
@@ -95,6 +97,24 @@ def test_local_match_target_is_r7(ic_edu_text):
     )
     _, report = load_vocabulary(parse_turtle(mutated))
     assert any(rule == "R7" for rule, _, _ in report.errors)
+
+
+@pytest.mark.parametrize("extra, rule", [
+    ('skos:prefLabel "Second label"@en', "R2"),
+    ('skos:scopeNote "One"@en ; skos:scopeNote "Two"@en', "R2"),
+    ('skos:definition "Second definition"@en', "R3"),
+    ('dc:identifier "other"', "R4"),
+    ('dcterms:hasVersion "9.9"', "R5"),
+    ('dcterms:modified "2020-01-01"', "R6"),
+    ('dcterms:coverage "US" ; dcterms:coverage "DE"', "R10"),
+])
+def test_second_value_is_an_error(ic_edu_text, extra, rule):
+    # a second value would otherwise silently replace or shadow the first
+    mutated = ic_edu_text.replace(
+        "a dcterms:RightsStatement ;", f"a dcterms:RightsStatement ; {extra} ;"
+    )
+    _, report = load_vocabulary(parse_turtle(mutated))
+    assert [(r, s) for r, s, _ in report.errors] == [(rule, "ic-edu")]
 
 
 def test_broken_permission_is_r8(ic_edu_text):
