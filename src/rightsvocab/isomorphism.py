@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from typing import Callable
 
 from .model import BlankNode, Graph, Triple
 
@@ -36,6 +37,62 @@ def _signature(g: Graph, node: BlankNode):
     return frozenset(Counter(sig).items())
 
 
+def _blank_links(g: Graph) -> dict[BlankNode, list[tuple[str, str, BlankNode]]]:
+    """For each blank node, its (role, predicate, partner) for every triple
+    whose other end is a blank node too."""
+    links: dict[BlankNode, list[tuple[str, str, BlankNode]]] = defaultdict(list)
+    for t in g:
+        if isinstance(t.subject, BlankNode) and isinstance(t.object, BlankNode):
+            links[t.subject].append(("s", t.predicate.value, t.object))
+            links[t.object].append(("o", t.predicate.value, t.subject))
+    return links
+
+
+def _refined_colours(a: Graph, nodes_a: set[BlankNode], links_a: dict,
+                     b: Graph, nodes_b: set[BlankNode], links_b: dict):
+    """Colour refinement over both graphs at once: start from each node's
+    signature, then split every colour by the multiset of its blank
+    partners' colours until no colour splits.  An isomorphism maps each
+    node to one of the same colour, so nodes that only a structure far
+    from them tells apart are never tried against each other."""
+    sides = [(nodes_a, links_a, a), (nodes_b, links_b, b)]
+    table: dict = {}
+    colours = [{n: table.setdefault(_signature(g, n), len(table)) for n in nodes}
+               for nodes, _, g in sides]
+    while True:
+        table = {}
+        refined = [
+            {n: table.setdefault(
+                (c[n], frozenset(Counter((r, p, c[m]) for r, p, m in links[n]).items())),
+                len(table))
+             for n in nodes}
+            for c, (nodes, links, _) in zip(colours, sides)
+        ]
+        if len(table) == len(set(colours[0].values()) | set(colours[1].values())):
+            return refined
+        colours = refined
+
+
+def _matching_order(nodes: set[BlankNode], links: dict, rank: Callable) -> list[BlankNode]:
+    """The nodes breadth first from the lowest-ranked node of each connected
+    component, so each node but a component's first is matched after a
+    blank neighbour and ``fits`` prunes a wrong choice at once."""
+    order: list[BlankNode] = []
+    seen: set[BlankNode] = set()
+    for start in sorted(nodes, key=rank):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = [start]
+        for node in queue:
+            for _, _, m in sorted(links[node], key=lambda link: (link[2].label, link[:2])):
+                if m not in seen:
+                    seen.add(m)
+                    queue.append(m)
+        order.extend(queue)
+    return order
+
+
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     if len(a) != len(b):
         return False
@@ -57,15 +114,20 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     if not nodes_a:
         return True
 
-    sig_a = {n: _signature(a, n) for n in nodes_a}
-    sig_b = {n: _signature(b, n) for n in nodes_b}
-    if Counter(sig_a.values()) != Counter(sig_b.values()):
+    links_a = _blank_links(a)
+    colour_a, colour_b = _refined_colours(a, nodes_a, links_a, b, nodes_b, _blank_links(b))
+    if Counter(colour_a.values()) != Counter(colour_b.values()):
         return False
 
     target = set(b)
-    order = sorted(nodes_a, key=lambda n: (len(list(sig_a[n])), n.label))
-    candidates = sorted(nodes_b, key=lambda n: n.label)
-    touching = {n: [t for t in a if n in (t.subject, t.object)] for n in nodes_a}
+    candidates: dict[int, list[BlankNode]] = defaultdict(list)
+    for n in sorted(nodes_b, key=lambda n: n.label):
+        candidates[colour_b[n]].append(n)
+    touching: dict[BlankNode, list[Triple]] = defaultdict(list)
+    for t in a:
+        for n in {t.subject, t.object} & nodes_a:
+            touching[n].append(t)
+    order = _matching_order(nodes_a, links_a, lambda n: (len(candidates[colour_a[n]]), n.label))
 
     def fits(node: BlankNode, mapping: dict) -> bool:
         """Each triple of ``node`` whose blank ends are all mapped maps into
@@ -82,8 +144,8 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
         if i == len(order):
             return True
         node = order[i]
-        for cand in candidates:
-            if cand in used or sig_b[cand] != sig_a[node]:
+        for cand in candidates[colour_a[node]]:
+            if cand in used:
                 continue
             mapping[node] = cand
             used.add(cand)

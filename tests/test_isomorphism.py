@@ -92,3 +92,23 @@ def test_round_trip_uses_isomorphism(vocabulary_graph):
     assert graphs_isomorphic(
         vocabulary_graph, parse_turtle(serialize_turtle(vocabulary_graph))
     )
+
+
+def test_look_alike_nodes_told_apart_by_colour_refinement():
+    # every leaf and every inner node of a binary tree has the same local
+    # signature, so only their place in the tree tells them apart; labels
+    # run the other way in ``b`` so the label order guesses wrong
+    def tree(labels, edges):
+        nodes = [BlankNode(label) for label in labels]
+        return Graph(
+            [Triple(Iri(EX + "root"), Iri(EX + "p"), nodes[0])]
+            + [Triple(nodes[i], Iri(EX + "p"), nodes[j]) for i, j in edges]
+        )
+
+    edges = [((j - 1) // 2, j) for j in range(1, 31)]
+    a = tree([f"a{i:02}" for i in range(31)], edges)
+    b = tree([f"b{30 - i:02}" for i in range(31)], edges)
+    assert graphs_isomorphic(a, b)
+    # move one leaf to the neighbouring parent: same size, other shape
+    moved = tree([f"b{i:02}" for i in range(31)], edges[:-1] + [(13, 30)])
+    assert not graphs_isomorphic(a, moved)
