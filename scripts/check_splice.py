@@ -4,10 +4,12 @@ serialization of the whole vocabulary graph.
 
 ``generate_site`` assembles ``rs/data.ttl`` and ``rs/data.jsonld`` from the
 per-statement documents.  This script compares both, byte for byte, with
-``serialize_turtle`` and ``serialize_jsonld`` of ``vocabulary_to_graph`` on
-the benchmark's generated vocabularies: ``stress(seed, 200)`` and
-``realistic(seed)`` for seeds 1 to 3.  It imports the program from ``src/``
-and the generator from ``perfbench/`` of this checkout.
+``serialize_turtle`` and ``serialize_jsonld`` of ``vocabulary_to_graph``,
+and checks that ``rs/data.ttl`` parses to a graph isomorphic to it, on the
+benchmark's generated vocabularies: ``stress(seed, 200)`` and
+``realistic(seed)`` for seeds 1 to 3, and ``stress(1, 800)``.  It imports
+the program from ``src/`` and the generator from ``perfbench/`` of this
+checkout.
 
 Usage: python3 scripts/check_splice.py
 Exits 1 and names each differing document if any differs, else 0.
@@ -19,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from rightsvocab import generate_site, load_vocabulary, parse_turtle  # noqa: E402
+from rightsvocab import generate_site, graphs_isomorphic, load_vocabulary, parse_turtle  # noqa: E402
 from rightsvocab.jsonld import serialize_jsonld  # noqa: E402
 from rightsvocab.site import vocabulary_to_graph  # noqa: E402
 from rightsvocab.turtle import serialize_turtle  # noqa: E402
@@ -29,27 +31,32 @@ import vocabgen  # noqa: E402
 FIXTURE = ROOT / "tests" / "fixtures" / "vocabulary.ttl"
 
 
+def _cases():
+    for seed in (1, 2, 3):
+        yield f"stress({seed}, 200)", vocabgen.stress(seed, FIXTURE, 200)
+        yield f"realistic({seed})", vocabgen.realistic(seed, FIXTURE)
+    yield "stress(1, 800)", vocabgen.stress(1, FIXTURE, 800)
+
+
 def main() -> int:
     failures = 0
-    for seed in (1, 2, 3):
-        cases = {
-            f"stress({seed}, 200)": vocabgen.stress(seed, FIXTURE, 200),
-            f"realistic({seed})": vocabgen.realistic(seed, FIXTURE),
-        }
-        for name, generated in cases.items():
-            vocab, report = load_vocabulary(parse_turtle(generated.turtle))
-            if not report.accepted:
-                print(f"FAILED {name}: {report.errors[:3]}")
+    for name, generated in _cases():
+        vocab, report = load_vocabulary(parse_turtle(generated.turtle))
+        if not report.accepted:
+            print(f"FAILED {name}: {report.errors[:3]}")
+            failures += 1
+            continue
+        entries = generate_site(vocab).entries
+        full = vocabulary_to_graph(vocab)
+        for path, expected in (("rs/data.ttl", serialize_turtle(full)),
+                               ("rs/data.jsonld", serialize_jsonld(full))):
+            if entries[path].content != expected.encode("utf-8"):
+                print(f"FAILED {name}: {path} differs from the full graph's document")
                 failures += 1
-                continue
-            entries = generate_site(vocab).entries
-            full = vocabulary_to_graph(vocab)
-            for path, expected in (("rs/data.ttl", serialize_turtle(full)),
-                                   ("rs/data.jsonld", serialize_jsonld(full))):
-                if entries[path].content != expected.encode("utf-8"):
-                    print(f"FAILED {name}: {path} differs from the full graph's document")
-                    failures += 1
-            print(f"{name}: {len(vocab.statements)} statements checked")
+        if not graphs_isomorphic(parse_turtle(entries["rs/data.ttl"].content.decode("utf-8")), full):
+            print(f"FAILED {name}: rs/data.ttl parses to a graph not isomorphic to the full graph")
+            failures += 1
+        print(f"{name}: {len(vocab.statements)} statements checked")
     return 1 if failures else 0
 
 

@@ -4,7 +4,7 @@ from .model import BlankNode, Graph, Iri, Literal, Triple
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 from .jsonld import serialize_jsonld
 from .rdfa import RdfaError, extract_rdfa
-from .isomorphism import IsomorphismLimitError, graphs_isomorphic
+from .isomorphism import graphs_isomorphic
 from .uris import (
     NamespaceConfig,
     StatementUri,
@@ -45,7 +45,7 @@ __all__ = [
     "BlankNode", "Graph", "Iri", "Literal", "Triple",
     "TurtleSyntaxError", "parse_turtle", "serialize_turtle",
     "serialize_jsonld", "RdfaError", "extract_rdfa",
-    "IsomorphismLimitError", "graphs_isomorphic",
+    "graphs_isomorphic",
     "NamespaceConfig", "StatementUri", "Validity",
     "build_statement_uri", "normalize_uri", "parse_statement_uri",
     "StatementRecord", "ValidationReport", "VersionReport", "Vocabulary",

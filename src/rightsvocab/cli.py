@@ -190,10 +190,12 @@ def _check_tree(site_dir: Path, manifest: SiteManifest) -> None:
 
 
 def run_serve(path: str, host: str, port: int, cfg: CliConfig) -> int:
+    if not 0 <= port <= 65535:
+        raise CliError(f"--port {port}: not in 0-65535", EXIT_ENV)
     snapshot = build_snapshot(path, cfg)
     try:
         server = NegotiationServer(snapshot, host=host, port=port)
-    except (OSError, OverflowError) as exc:  # OverflowError: a port outside 0-65535
+    except OSError as exc:
         raise CliError(f"cannot bind {host}:{port}: {exc}", EXIT_ENV)
     bound_host, bound_port = server.address
     print(f"serving on http://{bound_host}:{bound_port}/", file=sys.stderr)

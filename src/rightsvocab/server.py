@@ -29,6 +29,7 @@ VARY = "Accept, Accept-Language"
 
 _Q_RE = re.compile(r"^q=(\d(?:\.\d{0,3})?)$")
 _LANGUAGE_RANGE_RE = re.compile(r"\*|[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
+_SCHEME_AUTHORITY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://[^/?#]*")
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,8 @@ def handle_request(
 ) -> Response:
     if method not in ("GET", "HEAD"):
         return _METHOD_NOT_ALLOWED
+    if not path.startswith("/"):  # absolute form (RFC 9112 §3.2.2)
+        path = _SCHEME_AUTHORITY_RE.sub("", path, count=1)
     rel = path.partition("?")[0].lstrip("/")
     response = snapshot.documents.get(rel) or negotiate(rel, headers, snapshot)
     return (response[0], response[1], b"") if method == "HEAD" else response

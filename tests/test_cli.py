@@ -163,6 +163,16 @@ def test_odd_flags_exit_2_with_one_error_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_out_of_range_port_is_refused_before_the_build(monkeypatch, capsys):
+    def build_anyway(*args, **kwargs):
+        raise AssertionError("serve built the site for a port it cannot bind")
+
+    monkeypatch.setattr(cli, "build_snapshot", build_anyway)
+    for port in ("99999", "65536", "-1"):
+        assert main(["serve", VOCAB, "--port", port]) == 2
+        assert capsys.readouterr().err == f"error: --port {port}: not in 0-65535\n"
+
+
 def test_diff_identical_files(capsys):
     assert main(["diff", VOCAB, VOCAB]) == 0
 

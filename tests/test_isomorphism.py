@@ -1,6 +1,5 @@
 import itertools
-
-import pytest
+import time
 
 from rightsvocab import (
     BlankNode,
@@ -12,7 +11,6 @@ from rightsvocab import (
     parse_turtle,
     serialize_turtle,
 )
-from rightsvocab.isomorphism import MAX_BLANK_NODES, IsomorphismLimitError
 
 EX = "http://example.org/"
 
@@ -77,15 +75,25 @@ def test_structure_difference_with_equal_signature_counts():
     assert not graphs_isomorphic(Graph(cycle(six)), Graph(cycle(six[:3]) + cycle(six[3:])))
 
 
-def test_blank_node_limit():
+def test_two_hundred_look_alike_blank_nodes():
+    # 100 pairs that refinement cannot tell apart: each is paired by a search
     ids = itertools.count()
-    triples = [
+    g = Graph(
         Triple(BlankNode(f"x{next(ids)}"), Iri(EX + "p"), BlankNode(f"x{next(ids)}"))
-        for _ in range(MAX_BLANK_NODES)
-    ]
-    g = Graph(triples)
-    with pytest.raises(IsomorphismLimitError):
-        graphs_isomorphic(g, g)
+        for _ in range(100)
+    )
+    assert graphs_isomorphic(g, _relabel(g))
+    victim = next(iter(g))
+    mutated = Graph([t for t in g if t != victim]
+                    + [Triple(victim.subject, Iri(EX + "q"), victim.object)])
+    assert not graphs_isomorphic(g, _relabel(mutated))
+
+
+def test_ground_only_twins_pair_without_search():
+    g = Graph(Triple(BlankNode(f"x{i}"), Iri(EX + "p"), Literal("v")) for i in range(1000))
+    start = time.perf_counter()
+    assert graphs_isomorphic(g, _relabel(g))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_round_trip_uses_isomorphism(vocabulary_graph):

@@ -229,6 +229,16 @@ def test_query_string_is_ignored(snapshot):
     assert (status, dict(headers)["Location"]) == (303, "/rs/ic/1.0/index.en.html")
 
 
+def test_absolute_form_target_is_answered_as_its_path(snapshot):
+    # RFC 9112 §3.2.2: a server must accept a request target in absolute form
+    for path in ("/rs/ic/1.0/", "/rs/ic/1.0/data.ttl", "/rs/ghost/1.0/", "/rs/ic/1.0/?a=1"):
+        for origin in ("http://rightsstatements.org", "HTTPS://example.org:8080"):
+            assert handle_request("GET", origin + path, {}, snapshot) == \
+                handle_request("GET", path, {}, snapshot)
+    assert handle_request("GET", "http://rightsstatements.org", {}, snapshot) == \
+        handle_request("GET", "/", {}, snapshot)
+
+
 def test_handle_request_head_matches_get(snapshot):
     get = handle_request("GET", "/rs/ic-edu/1.0/data.ttl", {}, snapshot)
     head = handle_request("HEAD", "/rs/ic-edu/1.0/data.ttl", {}, snapshot)
@@ -312,6 +322,13 @@ def _exchange(address, request: bytes) -> bytes:
         while chunk := sock.recv(65536):
             chunks.append(chunk)
     return b"".join(chunks)
+
+
+def test_live_server_answers_absolute_form_target(live_address):
+    reply = _exchange(live_address, b"GET http://rightsstatements.org/rs/ic/1.0/ HTTP/1.1\r\n"
+                                    b"Host: rightsstatements.org\r\nConnection: close\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 303 ")
+    assert b"\r\nLocation: /rs/ic/1.0/index.en.html\r\n" in reply
 
 
 def test_live_server_any_other_method_is_405(live_address):

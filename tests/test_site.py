@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rightsvocab import (
+    BlankNode,
     Iri,
     StatementRecord,
     StatementUri,
     Vocabulary,
+    build_statement_uri,
     extract_rdfa,
     graphs_isomorphic,
     load_vocabulary,
@@ -101,6 +104,24 @@ def test_format_agreement_turtle_vs_jsonld(vocabulary, manifest):
         ttl = parse_turtle(manifest.entries[base + "data.ttl"].content.decode())
         walked = jsonld_walk(manifest.entries[base + "data.jsonld"].content.decode())
         assert graphs_isomorphic(ttl, walked)
+
+
+def test_whole_vocabulary_documents_at_stress_size(vocabulary):
+    # 250 renamed copies of each record with a permission: over 500 blank nodes
+    statements = dict(vocabulary.statements)
+    for record in [r for r in vocabulary.statements.values() if r.permissions]:
+        for i in range(250):
+            uri = dataclasses.replace(record.uri, name=f"{record.uri.name}-copy{i}")
+            statements[build_statement_uri(uri)] = dataclasses.replace(record, uri=uri)
+    big = Vocabulary(vocabulary.scheme_uri, vocabulary.title, statements)
+    full = vocabulary_to_graph(big)
+    assert len({t.object for t in full if isinstance(t.object, BlankNode)}) >= 500
+    entries = generate_site(big).entries
+    ttl = parse_turtle(entries["rs/data.ttl"].content.decode())
+    walked = jsonld_walk(entries["rs/data.jsonld"].content.decode())
+    assert graphs_isomorphic(ttl, full)
+    assert graphs_isomorphic(walked, full)
+    assert graphs_isomorphic(ttl, walked)
 
 
 def test_statement_page_content(vocabulary):

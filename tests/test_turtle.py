@@ -286,9 +286,7 @@ def test_parse_is_total_over_mutated_fixture(text):
 
 _IRIS = [Iri(EX + c) for c in "abc"] + [Iri(SKOS + "prefLabel"), Iri(RDF_TYPE)]
 _LABELLED = [BlankNode(f"l{k}") for k in range(4)]
-# with _LABELLED, the 32 blank nodes graphs_isomorphic takes;
-# test_chain_at_the_bound_round_trips covers deeper nesting
-_MAX_TREE_NODES = 28
+_MAX_TREE_NODES = 100
 
 
 @st.composite
