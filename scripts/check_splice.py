@@ -9,7 +9,7 @@ and checks that ``rs/data.ttl`` parses to a graph isomorphic to it, on the
 benchmark's generated vocabularies: ``stress(seed, 200)`` and
 ``realistic(seed)`` for seeds 1 to 3, and ``stress(1, 800)``.  It imports
 the program from ``src/`` and the generator from ``perfbench/`` of this
-checkout.
+checkout, and the isomorphism oracle from ``tests/oracles.py``.
 
 Usage: python3 scripts/check_splice.py
 Exits 1 and names each differing document if any differs, else 0.
@@ -19,14 +19,15 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from rightsvocab import generate_site, graphs_isomorphic, load_vocabulary, parse_turtle  # noqa: E402
+from rightsvocab import generate_site, load_vocabulary, parse_turtle  # noqa: E402
 from rightsvocab.jsonld import serialize_jsonld  # noqa: E402
 from rightsvocab.site import vocabulary_to_graph  # noqa: E402
 from rightsvocab.turtle import serialize_turtle  # noqa: E402
 
 import vocabgen  # noqa: E402
+from oracles import graphs_isomorphic  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "vocabulary.ttl"
 

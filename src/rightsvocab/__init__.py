@@ -3,40 +3,28 @@
 from .model import BlankNode, Graph, Iri, Literal, Triple
 from .turtle import TurtleSyntaxError, parse_turtle, serialize_turtle
 from .jsonld import serialize_jsonld
-from .rdfa import RdfaError, extract_rdfa
-from .isomorphism import graphs_isomorphic
 from .uris import (
     NamespaceConfig,
     StatementUri,
     Validity,
     build_statement_uri,
-    normalize_uri,
     parse_statement_uri,
 )
 from .vocab import (
     StatementRecord,
-    ValidationReport,
-    VersionReport,
     Vocabulary,
     check_object_references,
     diff_versions,
     load_vocabulary,
     lookup_statement,
 )
-from .site import (
-    SiteManifest,
-    generate_site,
-    render_overview_html,
-    render_statement_html,
-    write_manifest,
-)
+from .site import generate_site, render_overview_html, render_statement_html
 from .server import (
     LanguageRange,
     MediaRange,
     NegotiationServer,
     Snapshot,
     handle_request,
-    negotiate,
     parse_accept,
     parse_accept_language,
 )
@@ -44,16 +32,14 @@ from .server import (
 __all__ = [
     "BlankNode", "Graph", "Iri", "Literal", "Triple",
     "TurtleSyntaxError", "parse_turtle", "serialize_turtle",
-    "serialize_jsonld", "RdfaError", "extract_rdfa",
-    "graphs_isomorphic",
+    "serialize_jsonld",
     "NamespaceConfig", "StatementUri", "Validity",
-    "build_statement_uri", "normalize_uri", "parse_statement_uri",
-    "StatementRecord", "ValidationReport", "VersionReport", "Vocabulary",
+    "build_statement_uri", "parse_statement_uri",
+    "StatementRecord", "Vocabulary",
     "check_object_references", "diff_versions", "load_vocabulary",
     "lookup_statement",
-    "SiteManifest", "generate_site", "render_overview_html",
-    "render_statement_html", "write_manifest",
+    "generate_site", "render_overview_html", "render_statement_html",
     "LanguageRange", "MediaRange", "NegotiationServer",
-    "Snapshot", "handle_request", "negotiate",
+    "Snapshot", "handle_request",
     "parse_accept", "parse_accept_language",
 ]

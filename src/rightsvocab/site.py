@@ -90,15 +90,6 @@ def record_to_graph(
     return Graph(triples)
 
 
-def restrict_to_language(g: Graph, lang: str) -> Graph:
-    """Language-neutral triples plus literals tagged with ``lang``."""
-    return Graph(
-        t for t in g
-        if not (isinstance(t.object, Literal) and t.object.lang)
-        or t.object.lang == lang
-    )
-
-
 def _scheme_graph(v: Vocabulary) -> Graph:
     return Graph([Triple(v.scheme_uri, Iri(RDF_TYPE), CONCEPT_SCHEME_CLASS)] + [
         Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()
@@ -266,11 +257,22 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
 
 
 def write_manifest(manifest: SiteManifest, out_dir: Path) -> int:
-    for parent in {rel.rpartition("/")[0] for rel in manifest.entries}:
+    """Write every entry in place, then delete the files under ``rs/`` that
+    no entry names and the directories that leaves empty."""
+    parents = {rel.rpartition("/")[0] for rel in manifest.entries}
+    for parent in parents:
         os.makedirs(os.path.join(out_dir, parent), exist_ok=True)
     for rel, entry in manifest.entries.items():
         # no O_TRUNC: freeing and reallocating an existing file's blocks costs more than the write
         with open(os.open(os.path.join(out_dir, rel), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.write(entry.content)
             f.truncate()
+    rs = os.path.join(out_dir, "rs")
+    for root, _, files in os.walk(rs, topdown=False):
+        rel = ("rs" + root[len(rs):]).replace(os.sep, "/")
+        for name in files:
+            if f"{rel}/{name}" not in manifest.entries:
+                os.unlink(os.path.join(root, name))
+        if rel not in parents and not os.listdir(root):
+            os.rmdir(root)
     return len(manifest.entries)

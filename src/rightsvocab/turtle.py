@@ -285,8 +285,6 @@ class _Parser:
 
 
 def parse_turtle(text: str) -> Graph:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     parser = _Parser(_tokenize(text))
     try:
         return parser.parse()

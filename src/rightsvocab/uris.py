@@ -1,4 +1,4 @@
-"""rightsstatements.org URI parsing, building and normalization.
+"""rightsstatements.org URI parsing and building.
 
 URIs follow ``{base}/rs/{name}/{version}/[{JUR}/][(from|until)/{date}/]``.
 Parsed components are routing keys only and are never re-emitted as
@@ -30,7 +30,6 @@ class NotInNamespaceError(UriError):
 class MalformedUriError(UriError):
     def __init__(self, component: str, reason: str):
         super().__init__(f"bad {component}: {reason}")
-        self.component = component
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,3 @@ def build_statement_uri(s: StatementUri, cfg: NamespaceConfig = DEFAULT_CONFIG) 
     if s.validity:
         segments.extend([s.validity.kind, s.validity.date])
     return cfg.base + "/" + "/".join(segments) + "/"
-
-
-def normalize_uri(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> str:
-    return build_statement_uri(parse_statement_uri(uri, cfg), cfg)

@@ -1,0 +1,252 @@
+"""Test oracles: readers and comparisons that check the documents the
+package builds, kept apart from the package because no command needs them.
+
+- ``extract_rdfa`` reads RDFa back out of the markup the generator writes.
+  Recognized attributes: ``prefix``, ``about``, ``typeof``, ``property``,
+  ``resource``, ``content``, ``datatype`` and ``lang``.  An element carrying
+  ``property`` together with ``typeof`` introduces a fresh blank node that
+  becomes the subject for its descendants; ``lang=""`` suppresses an
+  inherited language tag.
+- ``graphs_isomorphic`` is blank-node-aware graph equality by colour
+  refinement, with no size limit.
+- ``restrict_to_language`` is the graph a page in one language must carry.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter, defaultdict
+from html.parser import HTMLParser
+from typing import Optional
+
+from rightsvocab.model import BlankNode, Graph, Iri, Literal, Triple
+from rightsvocab.namespaces import RDF_TYPE
+
+
+# --- RDFa extraction, scoped to the markup the generator writes ----------
+
+_VOID = {
+    "area", "base", "br", "col", "embed", "hr", "img", "input",
+    "link", "meta", "param", "source", "track", "wbr",
+}
+
+
+class RdfaError(ValueError):
+    pass
+
+
+class _Element:
+    __slots__ = ("tag", "attrs", "children")
+
+    def __init__(self, tag: str, attrs: dict):
+        self.tag = tag
+        self.attrs = attrs
+        self.children: list = []  # _Element or str
+
+
+class _TreeBuilder(HTMLParser):
+    def __init__(self):
+        super().__init__(convert_charrefs=True)
+        self.root = _Element("#document", {})
+        self.stack = [self.root]
+
+    def handle_starttag(self, tag, attrs):
+        el = _Element(tag, dict(attrs))
+        self.stack[-1].children.append(el)
+        if tag not in _VOID:
+            self.stack.append(el)
+
+    def handle_startendtag(self, tag, attrs):
+        self.stack[-1].children.append(_Element(tag, dict(attrs)))
+
+    def handle_endtag(self, tag):
+        if tag in _VOID:
+            return
+        if len(self.stack) < 2 or self.stack[-1].tag != tag:
+            raise RdfaError(f"mismatched closing tag </{tag}>")
+        self.stack.pop()
+
+    def handle_data(self, data):
+        self.stack[-1].children.append(data)
+
+
+def _text_of(el: _Element) -> str:
+    out = []
+    for child in el.children:
+        if isinstance(child, str):
+            out.append(child)
+        else:
+            out.append(_text_of(child))
+    return "".join(out)
+
+
+class _Extractor:
+    def __init__(self):
+        self.triples: set[Triple] = set()
+        self.prefixes: dict[str, str] = {}
+        self._fresh = itertools.count()
+
+    def _expand(self, curie: str) -> Iri:
+        if ":" in curie:
+            prefix, local = curie.split(":", 1)
+            if prefix in self.prefixes:
+                return Iri(self.prefixes[prefix] + local)
+            if "//" in curie:
+                return Iri(curie)
+            raise RdfaError(f"unknown prefix in {curie!r}")
+        raise RdfaError(f"not an absolute IRI or CURIE: {curie!r}")
+
+    def walk(self, el: _Element, subject, lang: Optional[str]) -> None:
+        attrs = el.attrs
+        if "prefix" in attrs:
+            parts = attrs["prefix"].split()
+            if len(parts) % 2:
+                raise RdfaError("odd prefix attribute")
+            for name, ns in zip(parts[0::2], parts[1::2]):
+                if not name.endswith(":"):
+                    raise RdfaError(f"bad prefix mapping {name!r}")
+                self.prefixes[name[:-1]] = ns
+        if "lang" in attrs:
+            lang = attrs["lang"] or None
+
+        if "about" in attrs:
+            subject = Iri(attrs["about"])
+            for ty in attrs.get("typeof", "").split():
+                self.triples.add(Triple(subject, Iri(RDF_TYPE), self._expand(ty)))
+
+        if "property" in attrs:
+            if subject is None:
+                raise RdfaError("property attribute with no subject in scope")
+            pred = self._expand(attrs["property"])
+            if "resource" in attrs:
+                self.triples.add(Triple(subject, pred, Iri(attrs["resource"])))
+            elif "typeof" in attrs and "about" not in attrs:
+                node = BlankNode(f"r{next(self._fresh)}")
+                self.triples.add(Triple(subject, pred, node))
+                for ty in attrs["typeof"].split():
+                    self.triples.add(Triple(node, Iri(RDF_TYPE), self._expand(ty)))
+                for child in el.children:
+                    if isinstance(child, _Element):
+                        self.walk(child, node, lang)
+                return
+            elif "content" in attrs:
+                self.triples.add(
+                    Triple(subject, pred, self._literal(attrs["content"], attrs, lang))
+                )
+            else:
+                self.triples.add(
+                    Triple(subject, pred, self._literal(_text_of(el), attrs, lang))
+                )
+                return
+
+        for child in el.children:
+            if isinstance(child, _Element):
+                self.walk(child, subject, lang)
+
+    def _literal(self, value: str, attrs: dict, lang: Optional[str]) -> Literal:
+        if "datatype" in attrs and attrs["datatype"]:
+            return Literal(value, datatype=self._expand(attrs["datatype"]))
+        return Literal(value, lang=lang)
+
+
+def extract_rdfa(html: str) -> Graph:
+    builder = _TreeBuilder()
+    builder.feed(html)
+    builder.close()
+    if len(builder.stack) != 1:
+        raise RdfaError("unclosed elements at end of document")
+    extractor = _Extractor()
+    extractor.walk(builder.root, None, None)
+    return Graph(extractor.triples)
+
+
+# --- graph isomorphism ----------------------------------------------------
+
+def _links(g: Graph) -> dict[BlankNode, list[tuple[str, str, object]]]:
+    """Each blank node's (role, predicate, partner) for every triple it is in,
+    the nodes in label order."""
+    links: dict[BlankNode, list] = defaultdict(list)
+    for t in g:
+        if isinstance(t.subject, BlankNode):
+            links[t.subject].append(("s", t.predicate.value, t.object))
+        if isinstance(t.object, BlankNode):
+            links[t.object].append(("o", t.predicate.value, t.subject))
+    return {n: links[n] for n in sorted(links, key=lambda n: n.label)}
+
+
+def _refine(colours: tuple[dict, dict], links: tuple[dict, dict]) -> tuple[dict, dict]:
+    """Split every colour, over both graphs at once, by the multiset of its
+    nodes' links, a blank partner counted by its colour, until none splits.
+    One colour table serves both graphs, so an isomorphism maps each node to
+    one of the same colour."""
+    while True:
+        table: dict = {}
+        refined = tuple(
+            {n: table.setdefault((c[n], frozenset(Counter(
+                (r, p, c[m] if isinstance(m, BlankNode) else m) for r, p, m in ls[n]
+            ).items())), len(table)) for n in c}
+            for c, ls in zip(colours, links)
+        )
+        if len(table) == len(set(colours[0].values()) | set(colours[1].values())):
+            return refined
+        colours = refined
+
+
+def _individualized(ca: dict, cb: dict, x: BlankNode, ys: list, fresh: int):
+    """The colourings that give ``x`` and each of ``ys`` in turn a colour of
+    their own."""
+    for y in ys:
+        yield {**ca, x: fresh}, {**cb, y: fresh}
+
+
+def _classes(colours: dict) -> dict[int, list[BlankNode]]:
+    classes: dict[int, list[BlankNode]] = defaultdict(list)
+    for n, c in colours.items():
+        classes[c].append(n)
+    return classes
+
+
+def graphs_isomorphic(a: Graph, b: Graph) -> bool:
+    """Whether a bijection of blank nodes maps ``a`` onto ``b``.
+
+    Colour refinement runs first; while a colour still holds several nodes
+    with a blank partner, the first of them in ``a`` is paired with each
+    node of that colour in ``b`` in turn, on an explicit stack, and the
+    colours are refined again.  Tied nodes whose partners are all ground
+    have identical links, so they pair in label order.  The mapping so
+    forced is then checked triple by triple, ground triples included."""
+    links = (_links(a), _links(b))
+    if len(a) != len(b) or len(links[0]) != len(links[1]):
+        return False
+    stack = [iter([tuple(dict.fromkeys(ls, 0) for ls in links)])]
+    while stack:
+        colours = next(stack[-1], None)
+        if colours is None:
+            stack.pop()
+            continue
+        ca, cb = _refine(colours, links)
+        if Counter(ca.values()) != Counter(cb.values()):
+            continue
+        classes_a, classes_b = _classes(ca), _classes(cb)
+        tied = next((c for c, ns in classes_a.items() if len(ns) > 1 and any(
+            isinstance(m, BlankNode) for _, _, m in links[0][ns[0]])), None)
+        if tied is not None:
+            stack.append(_individualized(ca, cb, classes_a[tied][0], classes_b[tied],
+                                         len(classes_a)))
+            continue
+        mapping = {x: y for c, xs in classes_a.items() for x, y in zip(xs, classes_b[c])}
+        if all(Triple(mapping.get(t.subject, t.subject), t.predicate,
+                      mapping.get(t.object, t.object)) in b for t in a):
+            return True
+    return False
+
+
+# --- per-language view of a statement graph -------------------------------
+
+def restrict_to_language(g: Graph, lang: str) -> Graph:
+    """Language-neutral triples plus literals tagged with ``lang``."""
+    return Graph(
+        t for t in g
+        if not (isinstance(t.object, Literal) and t.object.lang)
+        or t.object.lang == lang
+    )

@@ -15,20 +15,22 @@ from rightsvocab import (
     build_statement_uri,
     check_object_references,
     diff_versions,
-    extract_rdfa,
-    graphs_isomorphic,
     load_vocabulary,
-    normalize_uri,
     parse_statement_uri,
     parse_turtle,
     render_statement_html,
     serialize_turtle,
 )
 from rightsvocab.cli import CliConfig, run_build
-from rightsvocab.site import record_to_graph, restrict_to_language, statement_dir
+from rightsvocab.site import record_to_graph, statement_dir
 from rightsvocab.vocab import Vocabulary
 
 from conftest import FIXTURES, fixture_text, jsonld_walk
+from oracles import extract_rdfa, graphs_isomorphic, restrict_to_language
+
+
+def normalize_uri(uri: str) -> str:
+    return build_statement_uri(parse_statement_uri(uri))
 
 
 def _passline(number: int, description: str, started: float) -> None:

@@ -284,17 +284,37 @@ def test_serve_directory_matches_serve_vocab(tmp_path):
     assert build_snapshot(str(site), CliConfig()) == build_snapshot(VOCAB, CliConfig())
 
 
-def test_serve_refuses_stale_files_of_in_place_rebuild(tmp_path, capsys, monkeypatch):
-    site = _built_site(tmp_path)
-    without_pd_1 = tmp_path / "without-pd-1.ttl"
-    without_pd_1.write_text(re.sub(
+def _without_pd_1(tmp_path) -> str:
+    path = tmp_path / "without-pd-1.ttl"
+    path.write_text(re.sub(
         r"<http://rightsstatements.org/rs/pd/1.0/> a .*?\.\n\n", "",
         Path(VOCAB).read_text(), flags=re.S,
     ))
-    assert main(["build", str(without_pd_1), "--out", str(site)]) == 0
+    return str(path)
+
+
+def test_in_place_rebuild_removes_dropped_statement(tmp_path):
+    site = _built_site(tmp_path)
+    smaller = _without_pd_1(tmp_path)
+    assert main(["build", smaller, "--out", str(site)]) == 0
+    assert build_snapshot(str(site), CliConfig()) == build_snapshot(smaller, CliConfig())
+
+
+def test_rebuild_keeps_files_outside_rs(tmp_path):
+    site = _built_site(tmp_path)
+    (site / "assets").mkdir()
+    (site / "assets" / "style.css").write_text("body {}\n")
+    (site / "README.txt").write_text("notes\n")
+    assert main(["build", _without_pd_1(tmp_path), "--out", str(site)]) == 0
+    assert (site / "assets" / "style.css").read_text() == "body {}\n"
+    assert (site / "README.txt").read_text() == "notes\n"
+
+
+def test_serve_refuses_file_planted_in_rs(tmp_path, capsys, monkeypatch):
+    site = _built_site(tmp_path)
+    (site / "rs" / "pd" / "1.0" / "notes.txt").write_text("planted\n")
     assert _serve_refuses(site, capsys, monkeypatch).splitlines()[1:] == [
-        f"  extra rs/pd/1.0/{name}"
-        for name in ("data.jsonld", "data.ttl", "index.en.html", "index.nl.html")
+        "  extra rs/pd/1.0/notes.txt"
     ]
 
 

@@ -7,10 +7,10 @@ from rightsvocab import (
     Iri,
     Literal,
     Triple,
-    graphs_isomorphic,
     parse_turtle,
     serialize_turtle,
 )
+from oracles import graphs_isomorphic
 
 EX = "http://example.org/"
 

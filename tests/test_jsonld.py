@@ -1,9 +1,10 @@
 import json
 
-from rightsvocab import Graph, graphs_isomorphic, serialize_jsonld
+from rightsvocab import Graph, serialize_jsonld
 from rightsvocab.namespaces import SKOS
 
 from conftest import jsonld_walk
+from oracles import graphs_isomorphic
 
 
 def test_empty_graph_has_context_only():

@@ -3,14 +3,12 @@ import pytest
 from rightsvocab import (
     Iri,
     Literal,
-    RdfaError,
     Triple,
-    extract_rdfa,
-    graphs_isomorphic,
     render_statement_html,
 )
 from rightsvocab.namespaces import RDF_TYPE, SKOS
-from rightsvocab.site import record_to_graph, restrict_to_language
+from rightsvocab.site import record_to_graph
+from oracles import RdfaError, extract_rdfa, graphs_isomorphic, restrict_to_language
 
 EX = "http://example.org/"
 

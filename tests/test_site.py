@@ -12,8 +12,6 @@ from rightsvocab import (
     StatementUri,
     Vocabulary,
     build_statement_uri,
-    extract_rdfa,
-    graphs_isomorphic,
     load_vocabulary,
     parse_turtle,
     render_overview_html,
@@ -27,7 +25,6 @@ from rightsvocab.namespaces import ODRL
 from rightsvocab.site import (
     SiteManifest,
     record_to_graph,
-    restrict_to_language,
     statement_dir,
     vocabulary_to_graph,
     write_manifest,
@@ -35,6 +32,7 @@ from rightsvocab.site import (
 from rightsvocab.vocab import ConstraintSpec, MatchSpec, PermissionSpec
 
 from conftest import fixture_text, jsonld_walk
+from oracles import extract_rdfa, graphs_isomorphic, restrict_to_language
 
 
 def test_single_statement_site_layout(ic_edu_graph):
@@ -212,6 +210,18 @@ def test_rewrite_with_shorter_content_leaves_no_stale_tail(tmp_path):
     site.add("rs/data.ttl", "short\n", "text/turtle")
     write_manifest(site, tmp_path)
     assert (tmp_path / "rs" / "data.ttl").read_bytes() == b"short\n"
+
+
+def test_rewrite_removes_what_the_manifest_dropped(tmp_path):
+    site = SiteManifest()
+    for path in ("rs/data.ttl", "rs/a/1.0/data.ttl", "rs/b/1.0/US/data.ttl"):
+        site.add(path, "x\n", "text/turtle")
+    write_manifest(site, tmp_path)
+    del site.entries["rs/b/1.0/US/data.ttl"]
+    write_manifest(site, tmp_path)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "rs", "rs/a", "rs/a/1.0", "rs/a/1.0/data.ttl", "rs/data.ttl",
+    ]
 
 
 def test_manifest_paths_are_safe(manifest):

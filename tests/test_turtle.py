@@ -9,7 +9,6 @@ from rightsvocab import (
     Literal,
     Triple,
     TurtleSyntaxError,
-    graphs_isomorphic,
     parse_turtle,
     serialize_turtle,
 )
@@ -17,6 +16,7 @@ from rightsvocab.namespaces import DCTERMS, RDF_TYPE, SKOS
 from rightsvocab.turtle import MAX_NESTING
 
 from conftest import mutated_fixture
+from oracles import graphs_isomorphic
 
 EX = "http://example.org/"
 

@@ -7,12 +7,16 @@ from rightsvocab import (
     StatementUri,
     Validity,
     build_statement_uri,
-    normalize_uri,
     parse_statement_uri,
 )
 from rightsvocab.uris import MalformedUriError, NotInNamespaceError
 
 CFG = NamespaceConfig()
+
+
+def normalize_uri(uri: str) -> str:
+    return build_statement_uri(parse_statement_uri(uri))
+
 
 names = st.from_regex(r"[a-z0-9]{1,8}(-[a-z0-9]{1,8}){0,2}", fullmatch=True)
 versions = st.from_regex(r"[0-9]{1,2}(\.[0-9]{1,2}){1,2}", fullmatch=True)
@@ -92,14 +96,14 @@ def test_wrong_segment_rejected():
 
 
 @pytest.mark.parametrize("uri,component", [
-    ("http://rightsstatements.org/rs/IC/1.0/", "path"),
+    ("http://rightsstatements.org/rs/IC/1.0/", "name"),
     ("http://rightsstatements.org/rs/ic/vv/", "version"),
     ("http://rightsstatements.org/rs/ic/1.0/US/from/2025-13-40/", "validity"),
     ("http://rightsstatements.org/rs/ic/1.0/US/sometime/2025-05-02/", "path"),
     ("http://rightsstatements.org/rs/ic/", "path"),
 ])
 def test_malformed_components(uri, component):
-    with pytest.raises(MalformedUriError):
+    with pytest.raises(MalformedUriError, match=f"^bad {component}: "):
         parse_statement_uri(uri)
 
 

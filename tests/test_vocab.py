@@ -9,7 +9,6 @@ from rightsvocab import (
     Triple,
     check_object_references,
     diff_versions,
-    graphs_isomorphic,
     load_vocabulary,
     lookup_statement,
     parse_turtle,
@@ -24,6 +23,7 @@ from rightsvocab.vocab import (
 )
 
 from conftest import fixture_text
+from oracles import graphs_isomorphic
 
 IC_EDU_KEY = "http://rightsstatements.org/rs/ic-edu/1.0/"
 
