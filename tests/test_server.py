@@ -1,11 +1,14 @@
 import http.client
+import re
 import socket
 import statistics
+import string
 import time
 from types import SimpleNamespace
+from urllib.parse import quote
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rightsvocab import (
@@ -439,3 +442,146 @@ def test_live_server_round_trip(snapshot):
         assert b"In Copyright - Educational Use Only" in body
     finally:
         server.shutdown()
+
+
+@pytest.fixture(scope="module")
+def shared_address(snapshot):
+    server = NegotiationServer(snapshot)
+    server.start_background()
+    yield server.address
+    server.shutdown()
+
+
+def _send_chunks(address, chunks, must_send: int) -> bytes:
+    """Send ``chunks`` one ``send`` apart, half-close, and read everything
+    the server answers.  Sending may fail once the first ``must_send``
+    bytes are out, since the server may close on a request before it."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sent = 0
+        try:
+            for chunk in chunks:
+                sock.sendall(chunk)
+                sent += len(chunk)
+                time.sleep(0.001)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # EPIPE, ECONNRESET or ENOTCONN once the server closed
+            assert sent >= must_send
+        reply = []
+        try:
+            while chunk := sock.recv(65536):
+                reply.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(reply)
+
+
+_IMF_FIXDATE = re.compile(r"[A-Z][a-z]{2}, \d{2} [A-Z][a-z]{2} \d{4} \d{2}:\d{2}:\d{2} GMT")
+
+
+@st.composite
+def _wire_requests(draw, snapshot):
+    """One request of the ``handle_request`` contract on the wire: its
+    bytes, how many of them the server reads, whether the server closes
+    after it, whether it gets ``100 Continue``, and the response
+    ``handle_request`` gives it."""
+    method, path, headers = draw(_requests(snapshot))
+    path = quote(path, safe=string.punctuation)
+    headers = {k: "".join(c for c in v if " " <= c <= "~").strip() for k, v in headers.items()}
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))
+    connection = draw(st.sampled_from([None, "close", "keep-alive", "Keep-Alive"]))
+    framing = draw(st.sampled_from([None, "length", "chunked"]))
+    expect = draw(st.booleans())
+    lines = [f"{method} {path} {version}", "Host: x", *(f"{k}: {v}" for k, v in headers.items())]
+    if connection:
+        lines.append(f"Connection: {connection}")
+    if expect:
+        lines.append("Expect: 100-continue")
+    body = b""
+    if framing == "length":
+        body = draw(st.binary(max_size=40) | st.just(b"GET /rs/ghost/1.0/ HTTP/1.1\r\n\r\n"))
+        lines.append(f"Content-Length: {len(body)}")
+    elif framing == "chunked":
+        body = b"0\r\n\r\n"
+        lines.append("Transfer-Encoding: chunked")
+    closes = (connection == "close" or framing == "chunked"
+              or (version == "HTTP/1.0" and connection is None))
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return SimpleNamespace(
+        wire=head + body,
+        read=len(head) + (len(body) if framing == "length" else 0),  # the bytes the server reads
+        closes=closes,
+        interim=expect and version == "HTTP/1.1",
+        response=handle_request(method, path, headers, snapshot),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_wire_conformance(snapshot, shared_address, data):
+    """Pipelined requests split at random byte boundaries get one response
+    each, in order, equal to ``handle_request``'s apart from Date, Server
+    and an added ``Connection: close``; nothing follows a closing one."""
+    requests = data.draw(st.lists(_wire_requests(snapshot), min_size=1, max_size=4))
+    answered = []
+    for request in requests:
+        answered.append(request)
+        if request.closes:
+            break
+    stream = b"".join(r.wire for r in requests)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=5)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if b > a]
+    reply = _send_chunks(shared_address, chunks,
+                         sum(len(r.wire) for r in answered[:-1]) + answered[-1].read)
+    pos = 0
+    for request in answered:
+        if request.interim:
+            assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\n", pos)
+            pos += 25
+        end = reply.find(b"\r\n\r\n", pos)
+        assert end >= 0, reply[pos:]
+        status_line, *lines = reply[pos:end].decode("latin-1").split("\r\n")
+        fields = [tuple(line.split(": ", 1)) for line in lines]
+        dates = [value for name, value in fields if name == "Date"]
+        assert len(dates) == 1 and _IMF_FIXDATE.fullmatch(dates[0])
+        fields = [f for f in fields if f[0] not in ("Date", "Server")]
+        status, headers, body = request.response
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        allowed = [list(headers)]
+        if request.closes:
+            allowed.append([*headers, ("Connection", "close")])
+        assert fields in allowed
+        assert reply[end + 4:end + 4 + len(body)] == body
+        pos = end + 4 + len(body)
+    assert pos == len(reply), reply[pos:]
+
+
+def _only_response(reply: bytes) -> bytes:
+    """The status line of ``reply`` once it is shown to be a single
+    response that closes the connection."""
+    head, sep, body = reply.partition(b"\r\n\r\n")
+    assert sep and b"HTTP/1.1 " not in body
+    fields = dict(line.split(b": ", 1) for line in head.split(b"\r\n")[1:])
+    assert fields[b"Connection"] == b"close"
+    assert int(fields[b"Content-Length"]) == len(body)
+    return head.split(b"\r\n")[0]
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /" + b"a" * (65537 - len("GET / HTTP/1.1")) + b" HTTP/1.1\r\n\r\n", b"414"),
+    (b"GET /rs/ HTTP/1.1\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
+     b"431"),
+    (b"GET /rs/ HTTP/1.1\r\nX: " + b"a" * (70000 - len("X: \r\n")) + b"\r\n\r\n", b"431"),
+], ids=["request-line-65537", "101-field-lines", "field-line-70000"])
+def test_wire_limits(shared_address, request_bytes, status):
+    reply = _send_chunks(shared_address, [request_bytes + b"GET /rs/ HTTP/1.1\r\n\r\n"], 0)
+    assert _only_response(reply).startswith(b"HTTP/1.1 " + status + b" ")
+
+
+def test_bare_lf_request_is_answered_like_its_crlf_twin(shared_address):
+    request = b"GET /rs/ic/1.0/ HTTP/1.1\r\nHost: x\r\nAccept: text/turtle\r\n\r\n"
+    replies = [_send_chunks(shared_address, [r], len(r))
+               for r in (request, request.replace(b"\r\n", b"\n"))]
+    without_date = [re.sub(rb"\r\nDate: [^\r]*", b"", r) for r in replies]
+    assert without_date[0] == without_date[1]
+    assert without_date[0].startswith(b"HTTP/1.1 303 ")
