@@ -12,10 +12,15 @@ between requests and are never mutated.
 
 from __future__ import annotations
 
+import errno
+import functools
 import re
+import selectors
+import socket
 import threading
+import time
+import traceback
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Optional
 
 from .model import normalize_lang
@@ -201,74 +206,249 @@ def handle_request(
     return (response[0], response[1], b"") if method == "HEAD" else response
 
 
+# The HTTP/1.1 front end (RFC 9112).  Only the fields below are kept;
+# negotiation reads Accept and Accept-Language, framing reads the rest.
+TIMEOUT_S = 60  # seconds a connection may idle or stall before it is closed
+_MAX_LINE = 65536  # bytes in a request or field line, its line ending included
+_MAX_FIELDS = 100
+_KEPT_FIELDS = {n.encode(): n for n in ("accept", "accept-language", "content-length",
+                                         "transfer-encoding", "connection", "expect")}
+_VERSION_RE = re.compile(rb"HTTP/(\d)\.(\d)")
+_REASONS = {
+    200: "OK", 303: "See Other", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
+    414: "URI Too Long", 431: "Request Header Fields Too Large", 505: "HTTP Version Not Supported",
+}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+@functools.lru_cache(maxsize=1)
+def _imf_fixdate(seconds: int) -> str:
+    """The Date value for ``seconds`` (RFC 9110 §5.6.7), in English whatever the locale."""
+    t = time.gmtime(seconds)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+@dataclass(eq=False, slots=True)
+class _Connection:
+    """One client's state: unparsed input, the request read so far, the
+    declared body bytes still to discard, and output not yet sent."""
+
+    sock: socket.socket
+    inbuf: bytearray = field(default_factory=bytearray)
+    out: bytes = b""
+    active: float = field(default_factory=time.monotonic)  # the last time bytes moved
+    eof: bool = False  # no more input will be read
+    closing: bool = False  # close once ``out`` is sent
+    request: Optional[tuple[str, str, int]] = None  # method, target, HTTP/1 minor version
+    fields: dict[str, str] = field(default_factory=dict)
+    nfields: int = 0
+    body: Optional[int] = None  # body bytes left once the head is read
+    keep: bool = True  # the connection stays open after the answer
+
+
 class NegotiationServer:
-    """Stateless HTTP front end over an immutable snapshot."""
+    """HTTP/1.1 front end over an immutable snapshot.  One thread serves
+    every connection from a ``selectors`` loop, and each response goes to
+    the kernel as one buffer."""
 
     def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            # TCP_NODELAY: the body must not wait for the header block's ACK
-            disable_nagle_algorithm = True
-            # seconds a connection may stall mid-request before it is closed
-            timeout = 60
-
-            def __getattr__(self, name):
-                # every do_<METHOD> lands here, so no method gets the stdlib 501
-                if name.startswith("do_"):
-                    return self._respond
-                raise AttributeError(name)
-
-            def _respond(self):
-                keep_alive = self._discard_body()
-                status, headers, body = handle_request(
-                    self.command, self.path, self.headers, snapshot
-                )
-                self.send_response(status)
-                for k, v in headers:
-                    self.send_header(k, v)
-                if not keep_alive:
-                    self.send_header("Connection", "close")
-                self.end_headers()
-                if body:
-                    self.wfile.write(body)
-
-            def _discard_body(self) -> bool:
-                """Read a declared body off the connection so that its bytes
-                are not parsed as the next request; False when its length is
-                unknown or malformed, or it stalls past ``timeout``, and the
-                connection must close."""
-                lengths = self.headers.get_all("Content-Length", ["0"])
-                if ("Transfer-Encoding" in self.headers or len(lengths) != 1
-                        or not re.fullmatch(r"[0-9]+", lengths[0].strip())):
-                    return False
-                remaining = int(lengths[0])
-                while remaining:
-                    try:
-                        chunk = self.rfile.read(min(remaining, 65536))
-                    except TimeoutError:
-                        return False
-                    if not chunk:
-                        return False
-                    remaining -= len(chunk)
-                return True
-
-            def log_message(self, *args):
-                pass
-
-        self.httpd = ThreadingHTTPServer((host, port), Handler)
+        self.snapshot = snapshot
+        self._listener = socket.create_server((host, port))  # sets SO_REUSEADDR
+        self._listener.setblocking(False)
+        self._waker, self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._waker, selectors.EVENT_READ)
+        self._stopping = False
+        self._stopped = threading.Event()
+        self._stopped.set()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.httpd.server_address[:2]
-
-    def serve_forever(self) -> None:
-        self.httpd.serve_forever()
+        return self._listener.getsockname()[:2]
 
     def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self._stopped.clear()  # before the thread runs, so that shutdown waits for it
+        thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         return thread
 
     def shutdown(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        """Stop the loop, even one a KeyboardInterrupt ended, and close every socket."""
+        self._stopping = True
+        self._wake.send(b"\0")
+        self._stopped.wait()
+        self._selector.close()
+        for sock in (self._listener, self._waker, self._wake):
+            sock.close()
+
+    def serve_forever(self) -> None:
+        self._stopped.clear()
+        sweep_at = time.monotonic() + 1
+        try:
+            while not self._stopping:
+                for key, events in self._selector.select(timeout=1):
+                    if key.data is not None:
+                        try:
+                            self._on_ready(key.data, events)
+                        except Exception:  # a fault with one client must not stop the others
+                            traceback.print_exc()
+                            self._close(key.data)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+                now = time.monotonic()
+                if now >= sweep_at:
+                    self._sweep(now)
+                    sweep_at = now + 1
+        finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self._close(key.data)
+            self._stopped.set()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError as exc:  # the client is gone, or no descriptor is free
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                self._selector.unregister(self._listener)  # until the sweep, not to spin
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+
+    def _sweep(self, now: float) -> None:
+        """Resume accepting, and treat a connection silent for TIMEOUT_S as
+        ended: an unsent answer is dropped, a stalled body still answered."""
+        if self._listener not in self._selector.get_map():
+            self._selector.register(self._listener, selectors.EVENT_READ)
+        for key in list(self._selector.get_map().values()):
+            conn = key.data
+            if conn is not None and now - conn.active > TIMEOUT_S:
+                if conn.out:
+                    conn.out, conn.closing = b"", True
+                conn.eof = True
+                self._advance(conn, selectors.EVENT_READ)
+
+    def _on_ready(self, conn: _Connection, events: int) -> None:
+        if events & selectors.EVENT_WRITE:
+            self._flush(conn)
+        else:
+            try:
+                data = conn.sock.recv(65536)
+            except OSError:  # reset by the client
+                data, conn.closing = b"", True
+            conn.active = time.monotonic()
+            conn.inbuf += data
+            conn.eof = not data
+        self._advance(conn, events)
+
+    def _advance(self, conn: _Connection, registered: int) -> None:
+        """Answer buffered requests in order until an answer waits for the
+        kernel, input runs out or the connection closes; then wait to write
+        or to read, whichever is next, if ``registered`` is not it already."""
+        while not conn.out and not conn.closing and self._step(conn):
+            pass
+        if not conn.out and (conn.closing or conn.eof):
+            self._close(conn)
+            return
+        events = selectors.EVENT_WRITE if conn.out else selectors.EVENT_READ
+        if events != registered:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _step(self, conn: _Connection) -> bool:
+        """Take one line, or the rest of a declared body, off the input and
+        act on it (the body's end sends the answer); False when more input
+        is needed."""
+        buf = conn.inbuf
+        if conn.body is not None:
+            n = min(conn.body, len(buf))
+            del buf[:n]
+            conn.body -= n
+            if conn.body and not conn.eof:
+                return False
+            method, target, _ = conn.request
+            response = handle_request(method, target, conn.fields, self.snapshot)
+            keep = conn.keep and not conn.body  # a body cut short by a stall closes
+            conn.request, conn.fields, conn.nfields, conn.body = None, {}, 0, None
+            self._send(conn, response, keep)
+            return True
+        end = buf.find(b"\n", 0, _MAX_LINE)
+        if end < 0:
+            if len(buf) < _MAX_LINE:
+                return False
+            self._refuse(conn, 431 if conn.request else 414)
+            return True
+        line = bytes(buf[:end]).removesuffix(b"\r")  # a bare LF ends a line too
+        del buf[:end + 1]
+        if conn.request is None:
+            if line:  # empty lines before a request line are ignored (RFC 9112 §2.2)
+                words = line.split()
+                version = _VERSION_RE.fullmatch(words[2]) if len(words) == 3 else None
+                if version is None or version[1] != b"1":  # malformed, or not HTTP/1
+                    self._refuse(conn, 400 if version is None else 505)
+                else:
+                    conn.request = (words[0].decode("latin-1"), words[1].decode("latin-1"),
+                                    int(version[2]))
+        elif line:
+            conn.nfields += 1
+            name, colon, value = line.partition(b":")
+            if conn.nfields > _MAX_FIELDS:
+                self._refuse(conn, 431)
+            elif not colon or not name or name.strip() != name:  # e.g. a folded line
+                self._refuse(conn, 400)
+            elif key := _KEPT_FIELDS.get(name.lower()):
+                value = value.strip(b" \t").decode("latin-1")
+                old = conn.fields.get(key)
+                conn.fields[key] = value if old is None else f"{old}, {value}"  # RFC 9110 §5.3
+        else:
+            self._end_head(conn)
+        return True
+
+    def _end_head(self, conn: _Connection) -> None:
+        """Frame the body (RFC 9112 §6.3) and decide whether the connection
+        stays open; one of unknown length is left unread and closes it."""
+        minor, fields = conn.request[2], conn.fields
+        length = fields.get("content-length", "0")
+        # more digits than int() takes (or any real body needs) count as malformed
+        known = "transfer-encoding" not in fields and bool(re.fullmatch("[0-9]{1,18}", length))
+        tokens = {t.strip().lower() for t in fields.get("connection", "").split(",")}
+        conn.keep = known and "close" not in tokens and (minor > 0 or "keep-alive" in tokens)
+        conn.body = int(length) if known else 0
+        if minor > 0 and fields.get("expect", "").lower() == "100-continue":
+            conn.out = b"HTTP/1.1 100 Continue\r\n\r\n"
+            self._flush(conn)
+
+    def _refuse(self, conn: _Connection, status: int) -> None:
+        body = f"{status} {_REASONS[status].lower()}\n".encode()
+        self._send(conn, (status, (("Content-Type", "text/plain; charset=utf-8"),
+                                   ("Content-Length", str(len(body)))), body), keep=False)
+
+    def _send(self, conn: _Connection, response: Response, keep: bool) -> None:
+        """Write the status line, Date, the response's fields, and
+        ``Connection: close`` unless ``keep``, then the body, as one buffer."""
+        status, headers, body = response
+        head = [f"HTTP/1.1 {status} {_REASONS[status]}", f"Date: {_imf_fixdate(int(time.time()))}"]
+        head += [f"{k}: {v}" for k, v in headers]
+        if not keep:
+            head.append("Connection: close")
+            conn.closing = True
+        conn.out = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        try:
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            return
+        except OSError:  # the client reset or went away: drop the rest
+            conn.out, conn.closing = b"", True
+            return
+        conn.out = conn.out[sent:]
+        conn.active = time.monotonic()
+
+    def _close(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()

@@ -3,7 +3,10 @@ import hashlib
 import http.client
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -161,6 +164,15 @@ def test_odd_flags_exit_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_importing_the_cli_leaves_the_stdlib_http_stack_unloaded():
+    # the front end is selectors and sockets; these cost serve's start-up time and memory
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, rightsvocab.cli; print(' '.join(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout.split()
+    assert {"http.server", "http.client", "email", "socketserver", "asyncio"}.isdisjoint(loaded)
 
 
 def test_out_of_range_port_is_refused_before_the_build(monkeypatch, capsys):

@@ -1,8 +1,10 @@
+import errno
 import http.client
 import re
 import socket
 import statistics
 import string
+import struct
 import time
 from types import SimpleNamespace
 from urllib.parse import quote
@@ -370,10 +372,9 @@ def test_live_server_closes_on_unknown_body_length(live_address, framing):
     assert b"\r\nConnection: close\r\n" in reply
 
 
-def test_live_server_closes_stalled_requests(snapshot):
+def test_live_server_closes_stalled_requests(snapshot, monkeypatch):
+    monkeypatch.setattr("rightsvocab.server.TIMEOUT_S", 0.5)
     server = NegotiationServer(snapshot)
-    assert server.httpd.RequestHandlerClass.timeout is not None
-    server.httpd.RequestHandlerClass.timeout = 0.5
     server.start_background()
     try:
         stalled = [
@@ -572,8 +573,15 @@ def _only_response(reply: bytes) -> bytes:
     (b"GET /rs/ HTTP/1.1\r\n" + b"".join(b"X-%d: y\r\n" % i for i in range(101)) + b"\r\n",
      b"431"),
     (b"GET /rs/ HTTP/1.1\r\nX: " + b"a" * (70000 - len("X: \r\n")) + b"\r\n\r\n", b"431"),
-], ids=["request-line-65537", "101-field-lines", "field-line-70000"])
-def test_wire_limits(shared_address, request_bytes, status):
+    (b"GARBAGE\r\n\r\n", b"400"),
+    (b"GET /rs/\r\n\r\n", b"400"),
+    (b"GET /rs/ HTTP/1.1 x\r\n\r\n", b"400"),
+    (b"GET /rs/ HTTP/2.0\r\n\r\n", b"505"),
+    (b"GET /rs/ HTTP/1.1\r\nAccept: text/html,\r\n text/turtle\r\n\r\n", b"400"),
+    (b"GET /rs/ HTTP/1.1\r\nAccept : text/turtle\r\n\r\n", b"400"),
+], ids=["request-line-65537", "101-field-lines", "field-line-70000", "garbage",
+        "http-0.9-form", "four-words", "http-2.0", "folded-field", "space-before-colon"])
+def test_wire_refusals(shared_address, request_bytes, status):
     reply = _send_chunks(shared_address, [request_bytes + b"GET /rs/ HTTP/1.1\r\n\r\n"], 0)
     assert _only_response(reply).startswith(b"HTTP/1.1 " + status + b" ")
 
@@ -585,3 +593,77 @@ def test_bare_lf_request_is_answered_like_its_crlf_twin(shared_address):
     without_date = [re.sub(rb"\r\nDate: [^\r]*", b"", r) for r in replies]
     assert without_date[0] == without_date[1]
     assert without_date[0].startswith(b"HTTP/1.1 303 ")
+
+
+def test_date_is_an_imf_fixdate_in_english_names():
+    # the example of RFC 9110 §5.6.7
+    assert server._imf_fixdate(784111777) == "Sun, 06 Nov 1994 08:49:37 GMT"
+
+
+def test_server_keeps_serving_when_accept_runs_out_of_descriptors(snapshot, monkeypatch):
+    real_accept = socket.socket.accept
+    failed = []
+
+    def accept(sock):
+        # every accept fails for the first 0.3 s, as when no descriptor is free
+        if not failed or time.monotonic() - failed[0] < 0.3:
+            failed.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+        return real_accept(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    served = NegotiationServer(snapshot)
+    thread = served.start_background()
+    try:
+        reply = _exchange(served.address, b"GET /rs/ic/1.0/data.ttl HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert thread.is_alive()
+    finally:
+        served.shutdown()
+    assert reply.startswith(b"HTTP/1.1 200 ")
+    assert len(failed) <= 3  # it waits for descriptors instead of spinning on accept
+
+
+def test_client_reset_mid_response_leaves_other_connections_alone(snapshot):
+    served = NegotiationServer(snapshot)
+    thread = served.start_background()
+    try:
+        # pipelined answers that fill the socket buffers, never read, then a reset
+        reset = socket.create_connection(served.address, timeout=5)
+        reset.sendall(b"GET /rs/data.jsonld HTTP/1.1\r\nHost: x\r\n\r\n" * 600)
+        time.sleep(0.2)
+        reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        reset.close()
+        conn = http.client.HTTPConnection(*served.address, timeout=5)
+        for _ in range(3):
+            conn.request("GET", "/rs/ic/1.0/data.ttl")
+            resp = conn.getresponse()
+            assert resp.status == 200 and resp.read()
+        conn.close()
+        assert thread.is_alive()
+    finally:
+        served.shutdown()
+
+
+def test_live_server_survives_an_overlong_content_length(live_address):
+    # more digits than int() takes: answered as a body of unknown length
+    reply = _exchange(live_address, b"POST /rs/ HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                      + b"9" * 5000 + b"\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 405 ")
+    assert b"\r\nConnection: close\r\n" in reply
+    reply = _exchange(live_address, b"GET /rs/ HTTP/1.1\r\nHost: x\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 303 ")
+
+
+def test_a_fault_answering_one_request_closes_only_its_connection(snapshot, monkeypatch, capsys):
+    served = NegotiationServer(snapshot)
+    thread = served.start_background()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(server, "handle_request", lambda *args: 1 / 0)
+            assert _exchange(served.address, b"GET /rs/ HTTP/1.1\r\nHost: x\r\n\r\n") == b""
+        reply = _exchange(served.address, b"GET /rs/ HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 303 ")
+        assert thread.is_alive()
+    finally:
+        served.shutdown()
+    assert "ZeroDivisionError" in capsys.readouterr().err
