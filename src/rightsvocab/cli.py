@@ -198,7 +198,8 @@ def run_serve(path: str, host: str, port: int, cfg: CliConfig) -> int:
     except OSError as exc:
         raise CliError(f"cannot bind {host}:{port}: {exc}", EXIT_ENV)
     bound_host, bound_port = server.address
-    print(f"serving on http://{bound_host}:{bound_port}/", file=sys.stderr)
+    shown = f"[{bound_host}]" if ":" in bound_host else bound_host  # IPv6 goes in brackets
+    print(f"serving on http://{shown}:{bound_port}/", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -255,7 +255,9 @@ class NegotiationServer:
 
     def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
         self.snapshot = snapshot
-        self._listener = socket.create_server((host, port))  # sets SO_REUSEADDR
+        # IPv4 for "" and any host with an IPv4 address, in any resolver order: "::" takes no IPv4 client
+        v4 = not host or socket.AF_INET in {info[0] for info in socket.getaddrinfo(host, port)}
+        self._listener = socket.create_server((host, port), family=socket.AF_INET if v4 else socket.AF_INET6)
         self._listener.setblocking(False)
         self._waker, self._wake = socket.socketpair()
         self._selector = selectors.DefaultSelector()

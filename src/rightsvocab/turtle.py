@@ -299,9 +299,10 @@ def parse_turtle(text: str) -> Graph:
 
 # --- serialization -----------------------------------------------------
 
-_STR_ESC = str.maketrans(
-    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-)
+def _escape(s: str) -> str:
+    """``s`` escaped for a quoted string; the backslash goes first."""
+    s = s.replace("\\", "\\\\").replace('"', '\\"')
+    return s.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 def _shrink_iri(iri: Iri) -> str:
@@ -375,7 +376,7 @@ def turtle_blocks(g: Graph) -> list[str]:
             if isinstance(obj, Iri):
                 out.append(_shrink_iri(obj))
             elif isinstance(obj, Literal):
-                out.append(f'"{obj.lexical.translate(_STR_ESC)}"')
+                out.append(f'"{_escape(obj.lexical)}"')
                 if obj.lang:
                     out.append(f"@{obj.lang}")
                 elif obj.datatype:

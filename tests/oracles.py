@@ -10,17 +10,22 @@ package builds, kept apart from the package because no command needs them.
 - ``graphs_isomorphic`` is blank-node-aware graph equality by colour
   refinement, with no size limit.
 - ``restrict_to_language`` is the graph a page in one language must carry.
+- ``jsonld_document`` is the JSON-LD writer as it was before it wrote its
+  text itself: the same node objects, encoded by ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter, defaultdict
 from html.parser import HTMLParser
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
-from rightsvocab.model import BlankNode, Graph, Iri, Literal, Triple
-from rightsvocab.namespaces import RDF_TYPE
+from rightsvocab.jsonld import _compact, _node_id
+from rightsvocab.model import BlankNode, Graph, Iri, Literal, Term, Triple, display_names
+from rightsvocab.namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
 # --- RDFa extraction, scoped to the markup the generator writes ----------
@@ -250,3 +255,43 @@ def restrict_to_language(g: Graph, lang: str) -> Graph:
         if not (isinstance(t.object, Literal) and t.object.lang)
         or t.object.lang == lang
     )
+
+
+# --- JSON-LD through the json module --------------------------------------
+
+def _object_json(term: Term, names) -> object:
+    if not isinstance(term, Literal):
+        return {"@id": _node_id(term, names)}
+    out: dict = {"@value": term.lexical}
+    if term.lang:
+        out["@language"] = term.lang
+    elif term.datatype:
+        out["@type"] = _compact(term.datatype.value)
+    return out
+
+
+def _value_key(v) -> object:
+    """Orders as ``json.dumps(v, sort_keys=True)`` text, so ``"x!y"`` < ``"x"``."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    return [(k, encode_basestring_ascii(v[k])) for k in sorted(v)]
+
+
+def jsonld_document(triples: list[Triple]) -> str:
+    """The document of ``triples``, given in sorted triple order."""
+    names = display_names(triples)
+    nodes: dict[str, dict] = {}
+    for t in triples:
+        node = nodes.setdefault(_node_id(t.subject, names), {})
+        if t.predicate.value == RDF_TYPE and isinstance(t.object, Iri):
+            node.setdefault("@type", []).append(_compact(t.object.value))
+            continue
+        key = _compact(t.predicate.value)
+        node.setdefault(key, []).append(_object_json(t.object, names))
+    graph = []
+    for node_id, node in sorted(nodes.items()):
+        for values in node.values():
+            values.sort(key=_value_key)
+        graph.append({"@id": node_id, **node})
+    doc = {"@context": dict(sorted(NAMESPACE_TABLE.items())), "@graph": graph}
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

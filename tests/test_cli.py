@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -255,6 +256,38 @@ def test_serve_from_vocab_snapshot_end_to_end():
         assert resp.status == 404
     finally:
         server.shutdown()
+
+
+def _binds(host: str) -> bool:
+    try:
+        with socket.create_server((host, 0), family=socket.AF_INET6 if ":" in host else socket.AF_INET):
+            return True
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("host, shown", [
+    ("127.0.0.1", "127.0.0.1"),
+    pytest.param("::1", "[::1]", marks=pytest.mark.skipif(not _binds("::1"), reason="::1 cannot be bound")),
+])
+def test_serve_binds_the_family_of_its_host(host, shown):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.Popen([sys.executable, "-m", "rightsvocab.cli", "serve", VOCAB, "--host", host, "--port", "0"],
+                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    try:
+        line = proc.stderr.readline()
+        m = re.fullmatch(rf"serving on http://{re.escape(shown)}:(\d+)/\n", line)
+        assert m, line
+        conn = http.client.HTTPConnection(host, int(m[1]), timeout=5)
+        conn.request("GET", "/rs/ic-edu/1.0/", headers={"Accept": "text/turtle"})
+        resp = conn.getresponse()
+        resp.read()
+        conn.close()
+        assert (resp.status, resp.getheader("Location")) == (303, "/rs/ic-edu/1.0/data.ttl")
+    finally:
+        proc.terminate()
+        proc.wait(timeout=5)
+        proc.stderr.close()
 
 
 def test_serve_from_prebuilt_directory(tmp_path):

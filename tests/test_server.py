@@ -424,6 +424,35 @@ def test_live_server_answers_keep_alive_documents_without_delay(live_address):
     assert statistics.median(times) < 0.020
 
 
+def _answers_303(address) -> bool:
+    conn = http.client.HTTPConnection(*address, timeout=5)
+    conn.request("GET", "/rs/ic-edu/1.0/", headers={"Accept": "text/turtle"})
+    resp = conn.getresponse()
+    resp.read()
+    conn.close()
+    return resp.status == 303
+
+
+@pytest.mark.parametrize("host, bound", [("", "0.0.0.0"), ("localhost", "127.0.0.1")])
+def test_every_address_and_localhost_stay_ipv4_whatever_the_resolver_order(snapshot, monkeypatch, host, bound):
+    resolve = socket.getaddrinfo
+
+    def ipv6_first(name, port, *args, **kwargs):
+        if name not in (None, "", "localhost"):
+            return resolve(name, port, *args, **kwargs)
+        return ([(socket.AF_INET6, socket.SOCK_STREAM, 6, "", ("::" if not name else "::1", port, 0, 0))]
+                + resolve("127.0.0.1", port, *args, **kwargs))
+
+    monkeypatch.setattr(socket, "getaddrinfo", ipv6_first)
+    served = NegotiationServer(snapshot, host=host)
+    served.start_background()
+    try:
+        assert served.address[0] == bound
+        assert _answers_303(("127.0.0.1", served.address[1]))
+    finally:
+        served.shutdown()
+
+
 def test_live_server_round_trip(snapshot):
     server = NegotiationServer(snapshot)
     server.start_background()

@@ -288,5 +288,8 @@ _json_values = st.one_of(
 @given(st.lists(_json_values, max_size=8) | st.lists(_json_text, max_size=8))
 @example([{"@id": "http://a/x"}, {"@id": "http://a/x!y"}])
 def test_value_key_orders_as_the_json_text(values):
-    assert sorted(values, key=_value_key) == \
+    def members(v):  # the writer holds a value object as its sorted (key, value) pairs
+        return v if isinstance(v, str) else tuple(sorted(v.items()))
+
+    assert sorted(values, key=lambda v: _value_key(members(v))) == \
         sorted(values, key=lambda v: json.dumps(v, sort_keys=True))

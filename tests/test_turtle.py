@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rightsvocab import (
@@ -13,7 +13,7 @@ from rightsvocab import (
     serialize_turtle,
 )
 from rightsvocab.namespaces import DCTERMS, RDF_TYPE, SKOS
-from rightsvocab.turtle import MAX_NESTING
+from rightsvocab.turtle import MAX_NESTING, _escape
 
 from conftest import mutated_fixture
 from oracles import graphs_isomorphic
@@ -273,6 +273,20 @@ def test_parse_is_total_over_text(text):
         assert isinstance(parse_turtle(text), Graph)
     except TurtleSyntaxError:
         pass
+
+
+# the table the writer escaped string literals with before ``_escape``
+_TRANSLATE_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+)
+
+
+@given(st.text())
+@example('\\"\\n\n\t\r\\\\')
+def test_escape_equals_the_translate_table_and_round_trips(s):
+    assert _escape(s) == s.translate(_TRANSLATE_ESCAPES)
+    g = Graph([Triple(Iri(EX + "s"), Iri(EX + "p"), Literal(s))])
+    assert parse_turtle(serialize_turtle(g)) == g
 
 
 @settings(suppress_health_check=[HealthCheck.too_slow])
