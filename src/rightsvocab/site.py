@@ -130,10 +130,7 @@ def _iri_link(prop: str, iri: Iri) -> str:
 
 
 def render_statement_html(
-    r: StatementRecord,
-    lang: str,
-    v: Vocabulary,
-    cfg: NamespaceConfig = DEFAULT_CONFIG,
+    r: StatementRecord, lang: str, cfg: NamespaceConfig = DEFAULT_CONFIG
 ) -> str:
     if lang not in r.pref_labels:
         raise KeyError(f"no {lang!r} translation for {r.uri.name}")
@@ -150,24 +147,17 @@ def render_statement_html(
             f'<p property="skos:scopeNote" lang="{_esc(lang)}">{_esc(r.notes[lang])}</p>'
         )
     lines.append("<dl>")
-    lines.append(
-        f'<dt>Identifier</dt><dd property="dc:identifier" lang="">{_esc(r.identifier)}</dd>'
-    )
-    lines.append(
-        f'<dt>Version</dt><dd property="dcterms:hasVersion" lang="">{_esc(r.version)}</dd>'
-    )
-    if r.creator:
-        lines.append(
-            f'<dt>Creator</dt><dd property="dc:creator" lang="">{_esc(r.creator)}</dd>'
-        )
-    lines.append(
-        f'<dt>Modified</dt><dd property="dcterms:modified" lang="">{_esc(r.modified)}</dd>'
-    )
-    if r.jurisdiction:
-        lines.append(
-            f'<dt>Jurisdiction</dt><dd property="dcterms:coverage" lang="">{_esc(r.jurisdiction)}</dd>'
-        )
-    else:
+    # None marks a row left out; an empty creator or jurisdiction is unset
+    for term, prop, value in (
+        ("Identifier", "dc:identifier", r.identifier),
+        ("Version", "dcterms:hasVersion", r.version),
+        ("Creator", "dc:creator", r.creator or None),
+        ("Modified", "dcterms:modified", r.modified),
+        ("Jurisdiction", "dcterms:coverage", r.jurisdiction or None),
+    ):
+        if value is not None:
+            lines.append(f'<dt>{term}</dt><dd property="{prop}" lang="">{_esc(value)}</dd>')
+    if not r.jurisdiction:
         lines.append("<dt>Jurisdiction</dt><dd>worldwide</dd>")
     lines.append("</dl>")
     if r.matches:
@@ -193,13 +183,11 @@ def render_statement_html(
     return "\n".join(line for line in lines if line) + "\n"
 
 
-def render_overview_html(
-    v: Vocabulary, lang: str, cfg: NamespaceConfig = DEFAULT_CONFIG
-) -> str:
+def render_overview_html(v: Vocabulary, lang: str) -> str:
     title_lang = lang if lang in v.title else "en"
     title = v.title.get(title_lang, "Rights statements")
     lines = _head(lang, title)
-    lines.append(f'<main about="{_esc(cfg.scheme_uri())}" typeof="skos:ConceptScheme">')
+    lines.append(f'<main about="{_esc(v.scheme_uri.value)}" typeof="skos:ConceptScheme">')
     if title_lang in v.title:
         lines.append(
             f'<h1 property="dcterms:title" lang="{_esc(title_lang)}">{_esc(title)}</h1>'
@@ -237,7 +225,7 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
         for lang in r.languages():
             manifest.add(
                 base + f"index.{lang}.html",
-                render_statement_html(r, lang, v, cfg),
+                render_statement_html(r, lang, cfg),
                 "text/html",
                 language=lang,
             )
@@ -249,7 +237,7 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
     for lang in sorted(all_langs):
         manifest.add(
             f"rs/index.{lang}.html",
-            render_overview_html(v, lang, cfg),
+            render_overview_html(v, lang),
             "text/html",
             language=lang,
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
@@ -74,20 +75,18 @@ _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 
 
-# Deepest nesting of ``[ ... ]`` the reader takes.  It spends 3 stack frames
+# Deepest nesting of ``[ ... ]`` the reader takes.  It spends 2 stack frames
 # per level, and the writer 1, so both stay far below Python's default limit
 # of 1000 frames on such a graph.
 MAX_NESTING = 100
 
 
+@dataclass(slots=True)
 class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value: str, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
+    kind: str
+    value: str
+    line: int
+    col: int
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -128,22 +127,22 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+        # an ``end`` token where the last one starts: every read finds a token
+        line, col = (tokens[-1].line, tokens[-1].col) if tokens else (1, 1)
+        self.tokens = tokens + [_Token("end", "", line, col)]
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.triples: set[Triple] = set()
         self._fresh = itertools.count()
+        # a plain dict: a default factory bound to ``self`` would form a cycle
+        # that keeps each parse's tokens alive until the cyclic collector runs
         self._labels: dict[str, BlankNode] = {}
         self._depth = 0
 
-    def _peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _next(self, kind: Optional[str] = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
-            raise TurtleSyntaxError("unexpected end of input", last.line, last.col)
+        tok = self.tokens[self.pos]
+        if tok.kind == "end":
+            raise TurtleSyntaxError("unexpected end of input", tok.line, tok.col)
         if kind is not None and tok.kind != kind:
             raise TurtleSyntaxError(
                 f"expected {kind}, got {tok.kind} {tok.value!r}", tok.line, tok.col
@@ -154,26 +153,21 @@ class _Parser:
     def _fresh_bnode(self) -> BlankNode:
         return BlankNode(f"b{next(self._fresh)}")
 
-    def _labeled_bnode(self, label: str) -> BlankNode:
-        if label not in self._labels:
-            self._labels[label] = self._fresh_bnode()
-        return self._labels[label]
-
-    def _resolve_pname(self, tok: _Token) -> Iri:
+    def _iri(self, tok: _Token) -> Iri:
+        if tok.kind == "iri":
+            return Iri(tok.value)
         m = _PNAME.match(tok.value)
         if not m:
             raise TurtleSyntaxError(f"bad prefixed name {tok.value!r}", tok.line, tok.col)
         prefix = m.group(1) or ""
-        local = m.group(2) or ""
         if prefix not in self.prefixes:
             raise TurtleSyntaxError(f"unknown prefix {prefix!r}", tok.line, tok.col)
-        return Iri(self.prefixes[prefix] + local)
+        return Iri(self.prefixes[prefix] + (m.group(2) or ""))
 
     def parse(self) -> Graph:
-        while self._peek() is not None:
-            tok = self._peek()
-            if tok.kind == "@prefix":
-                self._next()
+        while self.tokens[self.pos].kind != "end":
+            if self.tokens[self.pos].kind == "@prefix":
+                self.pos += 1
                 name = self._next("pname")
                 if not name.value.endswith(":"):
                     raise TurtleSyntaxError(
@@ -183,105 +177,58 @@ class _Parser:
                 self._next(".")
                 self.prefixes[name.value[:-1]] = iri.value
             else:
-                self._parse_triples()
+                self._predicate_object_list(self._term("subject"))
+                self._next(".")
         return Graph(self.triples)
 
-    def _parse_triples(self) -> None:
-        tok = self._peek()
-        if tok.kind == "[":
-            subject = self._parse_bnode_property_list()
-            if self._peek() is not None and self._peek().kind != ".":
-                self._parse_predicate_object_list(subject)
-        else:
-            subject = self._parse_subject()
-            self._parse_predicate_object_list(subject)
-        self._next(".")
-
-    def _parse_subject(self):
-        tok = self._next()
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._resolve_pname(tok)
-        if tok.kind == "bnode":
-            return self._labeled_bnode(tok.value)
-        raise TurtleSyntaxError(
-            f"expected subject, got {tok.value!r}", tok.line, tok.col
-        )
-
-    def _parse_predicate_object_list(self, subject) -> None:
-        while True:
-            tok = self._peek()
-            if tok is None:
-                self._next()  # raises
-            if tok.kind in (".", "]"):
+    def _predicate_object_list(self, subject: SubjectTerm) -> None:
+        while self.tokens[self.pos].kind not in (".", "]"):
+            predicate = self._term("predicate")
+            sep = ","
+            while sep == ",":  # a "," adds an object, a ";" the next predicate
+                self.triples.add(Triple(subject, predicate, self._term("object")))
+                sep = self.tokens[self.pos].kind
+                self.pos += sep in (",", ";")
+            if sep != ";":
                 return
-            predicate = self._parse_predicate()
-            while True:
-                obj = self._parse_object()
-                self.triples.add(Triple(subject, predicate, obj))
-                if self._peek() is not None and self._peek().kind == ",":
-                    self._next()
-                    continue
-                break
-            if self._peek() is not None and self._peek().kind == ";":
-                self._next()
-                continue
-            return
 
-    def _parse_predicate(self) -> Iri:
+    def _term(self, role: str) -> Term:
+        """The next subject, predicate or object, as ``role`` names it."""
         tok = self._next()
-        if tok.kind == "a":
-            return Iri(RDF_TYPE)
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._resolve_pname(tok)
-        raise TurtleSyntaxError(
-            f"expected predicate, got {tok.value!r}", tok.line, tok.col
-        )
-
-    def _parse_object(self) -> Term:
-        tok = self._next()
-        if tok.kind == "iri":
-            return Iri(tok.value)
-        if tok.kind == "pname":
-            return self._resolve_pname(tok)
-        if tok.kind == "bnode":
-            return self._labeled_bnode(tok.value)
-        if tok.kind == "[":
-            self.pos -= 1
-            return self._parse_bnode_property_list()
-        if tok.kind == "string":
-            nxt = self._peek()
-            if nxt is not None and nxt.kind == "langtag":
-                self._next()
+        if tok.kind in ("iri", "pname"):
+            return self._iri(tok)
+        if role == "predicate":
+            if tok.kind == "a":
+                return Iri(RDF_TYPE)
+        elif tok.kind == "bnode":
+            if tok.value not in self._labels:
+                self._labels[tok.value] = self._fresh_bnode()
+            return self._labels[tok.value]
+        elif tok.kind == "[":
+            if self._depth == MAX_NESTING:
+                raise TurtleSyntaxError(
+                    f"blank node property lists nest deeper than {MAX_NESTING}",
+                    tok.line, tok.col,
+                )
+            self._depth += 1
+            node = self._fresh_bnode()
+            self._predicate_object_list(node)
+            self._next("]")
+            self._depth -= 1
+            return node
+        elif tok.kind == "string" and role == "object":
+            nxt = self.tokens[self.pos]
+            if nxt.kind == "langtag":
+                self.pos += 1
                 return Literal(tok.value, lang=nxt.value)
-            if nxt is not None and nxt.kind == "^^":
-                self._next()
+            if nxt.kind == "^^":
+                self.pos += 1
                 dt = self._next()
-                if dt.kind == "iri":
-                    return Literal(tok.value, datatype=Iri(dt.value))
-                if dt.kind == "pname":
-                    return Literal(tok.value, datatype=self._resolve_pname(dt))
-                raise TurtleSyntaxError("expected datatype IRI", dt.line, dt.col)
+                if dt.kind not in ("iri", "pname"):
+                    raise TurtleSyntaxError("expected datatype IRI", dt.line, dt.col)
+                return Literal(tok.value, datatype=self._iri(dt))
             return Literal(tok.value)
-        raise TurtleSyntaxError(f"expected object, got {tok.value!r}", tok.line, tok.col)
-
-    def _parse_bnode_property_list(self) -> BlankNode:
-        tok = self._next("[")
-        if self._depth == MAX_NESTING:
-            raise TurtleSyntaxError(
-                f"blank node property lists nest deeper than {MAX_NESTING}",
-                tok.line, tok.col,
-            )
-        self._depth += 1
-        node = self._fresh_bnode()
-        if self._peek() is not None and self._peek().kind != "]":
-            self._parse_predicate_object_list(node)
-        self._next("]")
-        self._depth -= 1
-        return node
+        raise TurtleSyntaxError(f"expected {role}, got {tok.value!r}", tok.line, tok.col)
 
 
 def parse_turtle(text: str) -> Graph:

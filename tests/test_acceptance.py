@@ -90,7 +90,7 @@ def test_criterion_2_round_trip_suite(vocabulary, manifest):
         walked = jsonld_walk(manifest.entries[base + "data.jsonld"].content.decode())
         assert graphs_isomorphic(g, walked)
         for lang in record.languages():
-            html = render_statement_html(record, lang, vocabulary)
+            html = render_statement_html(record, lang)
             assert graphs_isomorphic(
                 extract_rdfa(html), restrict_to_language(g, lang)
             )

@@ -80,6 +80,6 @@ def test_mismatched_markup_raises():
 
 def test_generated_page_round_trips(vocabulary):
     record = vocabulary.statements["http://rightsstatements.org/rs/ic-edu/1.0/"]
-    html = render_statement_html(record, "en", vocabulary)
+    html = render_statement_html(record, "en")
     expected = restrict_to_language(record_to_graph(record), "en")
     assert graphs_isomorphic(extract_rdfa(html), expected)

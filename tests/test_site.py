@@ -21,7 +21,7 @@ from rightsvocab import (
     serialize_turtle,
 )
 from rightsvocab.jsonld import _value_key
-from rightsvocab.namespaces import ODRL
+from rightsvocab.namespaces import ODRL, SKOS
 from rightsvocab.site import (
     SiteManifest,
     record_to_graph,
@@ -92,7 +92,7 @@ def test_rdfa_fidelity_all_statements_and_languages(vocabulary):
     for record in vocabulary.statements.values():
         g = record_to_graph(record)
         for lang in record.languages():
-            html = render_statement_html(record, lang, vocabulary)
+            html = render_statement_html(record, lang)
             assert graphs_isomorphic(extract_rdfa(html), restrict_to_language(g, lang))
 
 
@@ -124,7 +124,7 @@ def test_whole_vocabulary_documents_at_stress_size(vocabulary):
 
 def test_statement_page_content(vocabulary):
     record = vocabulary.statements["http://rightsstatements.org/rs/ic-edu/1.0/"]
-    html = render_statement_html(record, "en", vocabulary)
+    html = render_statement_html(record, "en")
     assert 'lang="en"' in html.splitlines()[1]
     assert "In Copyright - Educational Use Only" in html
     assert record.definitions["en"] in html
@@ -136,15 +136,14 @@ def test_statement_page_content(vocabulary):
 
 def test_jurisdiction_shown_from_data(vocabulary):
     record = vocabulary.statements["http://rightsstatements.org/rs/pd/1.0/US/"]
-    html = render_statement_html(record, "en", vocabulary)
+    html = render_statement_html(record, "en")
     assert ">US<" in html and "worldwide" not in html
 
 
 def test_single_language_record_has_empty_translation_list(ic_edu_graph):
     vocab, _ = load_vocabulary(ic_edu_graph)
-    html = render_statement_html(
-        vocab.statements["http://rightsstatements.org/rs/ic-edu/1.0/"], "en", vocab
-    )
+    record = vocab.statements["http://rightsstatements.org/rs/ic-edu/1.0/"]
+    html = render_statement_html(record, "en")
     section = html.split("Other translations")[1]
     assert "<li>" not in section
 
@@ -152,7 +151,7 @@ def test_single_language_record_has_empty_translation_list(ic_edu_graph):
 def test_unknown_language_rejected(vocabulary):
     record = vocabulary.statements["http://rightsstatements.org/rs/ic/1.0/"]
     with pytest.raises(KeyError):
-        render_statement_html(record, "fr", vocabulary)
+        render_statement_html(record, "fr")
 
 
 def test_overview_lists_statements_sorted(vocabulary):
@@ -191,6 +190,25 @@ def test_overview_types_concept_scheme(vocabulary):
         Iri(RDF_TYPE),
         Iri(SKOS + "ConceptScheme"),
     ) in g
+
+
+def test_overview_describes_the_vocabularys_own_scheme():
+    # a scheme IRI other than <base>/rs/: the overview's RDFa subject is the
+    # ConceptScheme that rs/data.ttl describes
+    text = fixture_text("vocabulary.ttl").replace(
+        "<http://rightsstatements.org/rs/> a skos:ConceptScheme",
+        "<http://rightsstatements.org/vocab/> a skos:ConceptScheme",
+    )
+    vocab, report = load_vocabulary(parse_turtle(text))
+    assert report.accepted
+    entries = generate_site(vocab).entries
+    data = parse_turtle(entries["rs/data.ttl"].content.decode())
+    rdfa = extract_rdfa(entries["rs/index.en.html"].content.decode())
+    scheme = Iri(SKOS + "ConceptScheme")
+    assert {t.subject for t in rdfa if t.object == scheme} == \
+        {t.subject for t in data if t.object == scheme} == \
+        {Iri("http://rightsstatements.org/vocab/")}
+    assert {t.subject for t in rdfa} == {Iri("http://rightsstatements.org/vocab/")}
 
 
 def test_written_tree_equals_manifest(manifest, tmp_path):

@@ -186,6 +186,40 @@ def test_rejected_token_forms_keep_message_and_position(text, message, line, col
         (f"line {line}, col {col}: {message}", line, col)
 
 
+_S, _P, _O = "<http://e.org/s>", "<http://e.org/p>", "<http://e.org/o>"
+
+
+# one input per ``raise`` of the parser; input that ends too early names the
+# position where its last token starts
+@pytest.mark.parametrize("text,message,line,col", [
+    (f"{_S} {_P}", "unexpected end of input", 1, 18),
+    (f"{_S} {_P} {_O} ;", "unexpected end of input", 1, 52),
+    (f'{_S} {_P} "x"^^', "unexpected end of input", 1, 38),
+    (f"[ {_P} {_O} ]", "unexpected end of input", 1, 37),
+    (f"{_S} {_P} [ ] ] .", "expected ., got ] ']'", 1, 39),
+    (f"[ {_P} {_O} ] ] .", "expected ., got ] ']'", 1, 39),
+    ("@prefix e: e:x .", "expected iri, got pname 'e:x'", 1, 12),
+    ("@prefix <http://e.org/> .", "expected pname, got iri 'http://e.org/'", 1, 9),
+    (f'"s" {_P} {_O} .', "expected subject, got 's'", 1, 1),
+    (f"{_S} _:b {_O} .", "expected predicate, got 'b'", 1, 18),
+    (f"{_S} [ {_P} {_O} ] {_O} .", "expected predicate, got '['", 1, 18),
+    (f"{_S} {_P} .", "expected object, got '.'", 1, 35),
+    (f"{_S} {_P} a .", "expected object, got 'a'", 1, 35),
+    (f'{_S} {_P} "x"^^"y" .', "expected datatype IRI", 1, 40),
+    ("@prefix e:x <http://e.org/> .", "expected prefix declaration", 1, 9),
+    (f"{_S} {_P} e:.x .", "bad prefixed name 'e:.x'", 1, 35),
+    ("nope:x a nope:Y .", "unknown prefix 'nope'", 1, 1),
+    (f"{_S} " + f"{_P} [ " * (MAX_NESTING + 1),
+     f"blank node property lists nest deeper than {MAX_NESTING}",
+     1, len(f"{_S} ") + len(f"{_P} [ ") * (MAX_NESTING + 1) - 1),
+])
+def test_parser_errors_keep_message_and_position(text, message, line, col):
+    with pytest.raises(TurtleSyntaxError) as exc:
+        parse_turtle(text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == \
+        (f"line {line}, col {col}: {message}", line, col)
+
+
 @pytest.mark.parametrize("text,line,col", [
     (f'<{EX}s> <{EX}p> "x"@zh-Hant .', 1, 50),
     ("<foo> a <http://example.org/C> .", 1, 1),
