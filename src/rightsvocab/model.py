@@ -144,9 +144,11 @@ class Graph:
         return sorted(self._by_subject.get(subject, ()), key=triple_sort_key)
 
     def objects(self, subject: SubjectTerm, predicate: Iri) -> list[Term]:
+        # predicates are ``Iri``s: equal strings are equal terms, compared without ``__eq__``
+        value = predicate.value
         return sorted(
             (t.object for t in self._by_subject.get(subject, ())
-             if t.predicate == predicate),
+             if t.predicate.value == value),
             key=term_sort_key,
         )
 

@@ -40,7 +40,8 @@ _TOKEN = re.compile(r"""
     (?P<space>(?:[ \t\r\n]|\#[^\n]*)+)
   | (?P<iri><[^>\n]*>)
   | (?P<multiline>\"\"\")
-  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  # unrolled: one class runs between escapes, no alternation per character
+  | (?P<string>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
   | (?P<prefix>@prefix(?![A-Za-z0-9-]))
   | (?P<base>@base(?![A-Za-z0-9-]))
   | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
@@ -177,7 +178,12 @@ class _Parser:
                 self._next(".")
                 self.prefixes[name.value[:-1]] = iri.value
             else:
-                self._predicate_object_list(self._term("subject"))
+                # only a non-empty ``[ p o ]`` may lack predicates (W3C ``triples``)
+                alone = self.tokens[self.pos].kind == "[" and self.tokens[self.pos + 1].kind != "]"
+                subject = self._term("subject")
+                if not alone and self.tokens[self.pos].kind == ".":
+                    self._term("predicate")  # refuses the "."
+                self._predicate_object_list(subject)
                 self._next(".")
         return Graph(self.triples)
 

@@ -6,7 +6,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal
+from .model import BlankNode, Graph, Iri, Literal, triple_sort_key
 from .namespaces import CC, DC11, DCTERMS, EDM, ODRL_ALIASES, RDF_TYPE, SKOS
 from .uris import (
     DEFAULT_CONFIG,
@@ -185,12 +185,14 @@ def load_vocabulary(
 
     scheme_uri = Iri(cfg.scheme_uri())
     title: dict[str, str] = {}
-    for t in g.sorted_triples():
-        if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS:
-            scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
-            for obj in g.objects(t.subject, TITLE):
-                if isinstance(obj, Literal) and obj.lang:
-                    title[obj.lang] = obj.lexical
+    # the greatest IRI subject is the scheme; titles merge in subject order
+    schemes = [t for t in g
+               if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS]
+    for t in sorted(schemes, key=triple_sort_key):
+        scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
+        for obj in g.objects(t.subject, TITLE):
+            if isinstance(obj, Literal) and obj.lang:
+                title[obj.lang] = obj.lexical
 
     # candidate statements: in-namespace subjects with any assertions
     candidates: dict[Iri, StatementUri] = {}

@@ -12,20 +12,33 @@ package builds, kept apart from the package because no command needs them.
 - ``restrict_to_language`` is the graph a page in one language must carry.
 - ``jsonld_document`` is the JSON-LD writer as it was before it wrote its
   text itself: the same node objects, encoded by ``json.dumps``.
+- ``old_reader`` puts back the read path as it was before the string
+  alternative of the token pattern was unrolled (``OLD_TOKEN``) and before
+  ``Graph.objects`` compared predicates by string; ``old_load_vocabulary``
+  also finds the ConceptScheme by the old loop over every sorted triple.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 import json
+import re
 from collections import Counter, defaultdict
 from html.parser import HTMLParser
 from json.encoder import encode_basestring_ascii
 from typing import Optional
+from unittest import mock
 
+from rightsvocab import load_vocabulary, turtle
 from rightsvocab.jsonld import _compact, _node_id
-from rightsvocab.model import BlankNode, Graph, Iri, Literal, Term, Triple, display_names
+from rightsvocab.model import (
+    BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names, term_sort_key,
+)
 from rightsvocab.namespaces import NAMESPACE_TABLE, RDF_TYPE
+from rightsvocab.uris import DEFAULT_CONFIG, NamespaceConfig
+from rightsvocab.vocab import CONCEPT_SCHEME_CLASS, TITLE, ValidationReport, Vocabulary
 
 
 # --- RDFa extraction, scoped to the markup the generator writes ----------
@@ -295,3 +308,80 @@ def jsonld_document(triples: list[Triple]) -> str:
         graph.append({"@id": node_id, **node})
     doc = {"@context": dict(sorted(NAMESPACE_TABLE.items())), "@graph": graph}
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# --- the read path before the string pattern was unrolled, predicates were
+# compared by string and load_vocabulary stopped sorting every triple ------
+
+OLD_TOKEN = re.compile(r"""
+    (?P<space>(?:[ \t\r\n]|\#[^\n]*)+)
+  | (?P<iri><[^>\n]*>)
+  | (?P<multiline>\"\"\")
+  | (?P<string>"(?:[^"\\\n]|\\.)*")
+  | (?P<prefix>@prefix(?![A-Za-z0-9-]))
+  | (?P<base>@base(?![A-Za-z0-9-]))
+  | (?P<langtag>@[A-Za-z][A-Za-z0-9-]*)
+  | (?P<punct>\^\^|[.;,\[\]])
+  | (?P<collection>[()])
+  | (?P<bnode>_:[A-Za-z0-9][A-Za-z0-9_-]*)
+  | (?P<nolabel>_:)
+  | (?P<numeric>[0-9])
+  | (?P<boolean>(?:true|false)(?![A-Za-z0-9_.:-]))
+  | (?P<a>a(?![A-Za-z0-9_.:-]))
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_.-]*)
+  | (?P<open_iri><)
+  | (?P<open_string>")
+  | (?P<bad_at>@)
+  | (?P<other>.)
+""", re.VERBOSE)
+
+
+def _objects_by_term(self, subject: SubjectTerm, predicate: Iri) -> list[Term]:
+    return sorted(
+        (t.object for t in self._by_subject.get(subject, ()) if t.predicate == predicate),
+        key=term_sort_key,
+    )
+
+
+@contextlib.contextmanager
+def old_reader():
+    """``_tokenize`` with ``OLD_TOKEN`` and ``Graph.objects`` comparing
+    predicates as terms, until the block ends."""
+    with mock.patch.object(turtle, "_TOKEN", OLD_TOKEN), \
+            mock.patch.object(Graph, "objects", _objects_by_term):
+        yield
+
+
+def token_outcome(text: str) -> list[tuple] | tuple:
+    """``_tokenize(text)`` as ``(kind, value, line, col)`` tuples, or its
+    error as ``(message, line, col)``."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in turtle._tokenize(text)]
+    except turtle.TurtleSyntaxError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def old_token_outcome(text: str) -> list[tuple] | tuple:
+    """``token_outcome(text)`` with ``OLD_TOKEN`` in place of ``_TOKEN``."""
+    with old_reader():
+        return token_outcome(text)
+
+
+def old_load_vocabulary(
+    g: Graph, cfg: NamespaceConfig = DEFAULT_CONFIG
+) -> tuple[Vocabulary, ValidationReport]:
+    """``load_vocabulary`` under ``old_reader``, with the scheme and title
+    found by the old loop: the last IRI subject typed ``skos:ConceptScheme``
+    in sorted triple order wins, and the tagged titles of every such subject
+    merge in that order."""
+    with old_reader():
+        vocab, report = load_vocabulary(g, cfg)
+        scheme_uri, title = Iri(cfg.scheme_uri()), {}
+        for t in g.sorted_triples():
+            if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS:
+                scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
+                for obj in g.objects(t.subject, TITLE):
+                    if isinstance(obj, Literal) and obj.lang:
+                        title[obj.lang] = obj.lexical
+    return dataclasses.replace(vocab, scheme_uri=scheme_uri, title=title), report

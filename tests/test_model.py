@@ -52,6 +52,23 @@ def test_absent_subject_has_no_triples():
     assert g.objects(BlankNode(NAMES[0]), Iri("http://example.org/p")) == []
 
 
+def test_objects_matches_an_equal_predicate_that_is_another_object():
+    p = "http://example.org/p"
+    s = Iri(NAMES[0])
+    g = Graph([
+        Triple(s, Iri(p), Literal("y", "en")),
+        Triple(s, Iri(p), BlankNode("z")),
+        Triple(s, Iri(p), Iri(NAMES[1])),
+        Triple(s, Iri(p), Literal("x")),
+        Triple(s, Iri("http://example.org/q"), Literal("w")),
+    ])
+    query = Iri("".join(["http://example.org/", "p"]))
+    assert all(t.predicate is not query and t.predicate.value is not query.value for t in g)
+    assert g.objects(s, query) == [
+        Iri(NAMES[1]), Literal("x"), Literal("y", "en"), BlankNode("z"),
+    ]
+
+
 def test_lookups_return_fresh_containers():
     t = Triple(Iri(NAMES[0]), Iri("http://example.org/p"), Literal("x"))
     g = Graph([t])

@@ -16,7 +16,7 @@ from rightsvocab.namespaces import DCTERMS, RDF_TYPE, SKOS
 from rightsvocab.turtle import MAX_NESTING, _escape
 
 from conftest import mutated_fixture
-from oracles import graphs_isomorphic
+from oracles import graphs_isomorphic, old_token_outcome, token_outcome
 
 EX = "http://example.org/"
 
@@ -203,6 +203,10 @@ _S, _P, _O = "<http://e.org/s>", "<http://e.org/p>", "<http://e.org/o>"
     (f'"s" {_P} {_O} .', "expected subject, got 's'", 1, 1),
     (f"{_S} _:b {_O} .", "expected predicate, got 'b'", 1, 18),
     (f"{_S} [ {_P} {_O} ] {_O} .", "expected predicate, got '['", 1, 18),
+    (f"{_S} .", "expected predicate, got '.'", 1, 18),
+    ("@prefix e: <http://e.org/> .\ne:x .", "expected predicate, got '.'", 2, 5),
+    ("_:b .", "expected predicate, got '.'", 1, 5),
+    ("[] .", "expected predicate, got '.'", 1, 4),
     (f"{_S} {_P} .", "expected object, got '.'", 1, 35),
     (f"{_S} {_P} a .", "expected object, got 'a'", 1, 35),
     (f'{_S} {_P} "x"^^"y" .', "expected datatype IRI", 1, 40),
@@ -218,6 +222,17 @@ def test_parser_errors_keep_message_and_position(text, message, line, col):
         parse_turtle(text)
     assert (str(exc.value), exc.value.line, exc.value.col) == \
         (f"line {line}, col {col}: {message}", line, col)
+
+
+# a subject needs a predicate-object list, except a non-empty ``[ p o ]``
+@pytest.mark.parametrize("text,size", [
+    (f"[ {_P} {_O} ] .", 1),
+    (f"[ {_P} {_O} ] {_P} {_S} .", 2),
+    (f"[] {_P} {_O} .", 1),
+    (f"{_S} {_P} [] .", 1),
+])
+def test_blank_node_subjects_that_parse(text, size):
+    assert len(parse_turtle(text)) == size
 
 
 @pytest.mark.parametrize("text,line,col", [
@@ -307,6 +322,33 @@ def test_parse_is_total_over_text(text):
         assert isinstance(parse_turtle(text), Graph)
     except TurtleSyntaxError:
         pass
+
+
+# weighted towards the characters that open, escape and close a string
+# literal or start another token; two in three texts start inside a literal
+_TOKEN_TEXT = st.builds(
+    str.__add__,
+    st.sampled_from(["", '"', '<s> <p> "']),
+    st.text(st.one_of(
+        st.sampled_from('"\\\n'), st.sampled_from('"\\\nntrq<>@# .'), st.characters(),
+    )),
+)
+_MEGABYTE_LITERAL = '<s> <p> "' + '\\"xxxxxxxx' * 100_000 + '" .'
+
+
+@settings(deadline=None, max_examples=500)
+@given(_TOKEN_TEXT)
+@example('<s> <p> "say \\"hi\\"" .')
+@example('"a\\\nb" .')
+@example('<s> <p> "cut\\')
+@example(_MEGABYTE_LITERAL)
+def test_tokenize_equals_the_old_token_pattern(text):
+    assert token_outcome(text) == old_token_outcome(text)
+
+
+def test_megabyte_literal_tokenizes():
+    (string,) = [t for t in token_outcome(_MEGABYTE_LITERAL) if t[0] == "string"]
+    assert string == ("string", '"xxxxxxxx' * 100_000, 1, 9)
 
 
 # the table the writer escaped string literals with before ``_escape``

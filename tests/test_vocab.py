@@ -23,7 +23,7 @@ from rightsvocab.vocab import (
 )
 
 from conftest import fixture_text
-from oracles import graphs_isomorphic
+from oracles import graphs_isomorphic, old_load_vocabulary
 
 IC_EDU_KEY = "http://rightsstatements.org/rs/ic-edu/1.0/"
 
@@ -160,6 +160,26 @@ def test_load_serialize_fixed_point(vocabulary):
     assert report.accepted
     assert reloaded.statements == vocabulary.statements
     assert reloaded.title == vocabulary.title
+
+
+def test_scheme_choice_among_several_concept_schemes():
+    # the greatest IRI ConceptScheme is the scheme; the tagged titles of every
+    # ConceptScheme merge in subject order (IRIs, then blank nodes), so a later
+    # one overrides a language an earlier one gave
+    g = parse_turtle(
+        "@prefix skos: <http://www.w3.org/2004/02/skos/core#> .\n"
+        "@prefix dcterms: <http://purl.org/dc/terms/> .\n"
+        '<http://e.org/b> a skos:ConceptScheme ; dcterms:title "B"@en, "B fr"@fr, "untagged" .\n'
+        '<http://e.org/a> a skos:ConceptScheme ; dcterms:title "A"@en, "A nl"@nl .\n'
+        '_:s a skos:ConceptScheme ; dcterms:title "Blank"@en, "Blank de"@de .\n'
+        '<http://e.org/c> dcterms:title "not a scheme"@en .\n'
+    )
+    vocab, report = load_vocabulary(g)
+    assert (vocab, report) == old_load_vocabulary(g)
+    assert vocab.scheme_uri == Iri("http://e.org/b")
+    assert list(vocab.title.items()) == [
+        ("en", "Blank"), ("nl", "A nl"), ("fr", "B fr"), ("de", "Blank de"),
+    ]
 
 
 def test_lookup_statement(vocabulary):
