@@ -8,8 +8,10 @@ the benchmark's generated vocabularies, ``stress(seed, 200)`` and
 ``realistic(seed)`` for seeds 1 to 3 and ``stress(1, 800)``, this script
 requires the same token list, the same ``Graph`` from ``parse_turtle`` and
 the same ``(Vocabulary, ValidationReport)`` from ``load_vocabulary``.  It
-imports the program from ``src/`` and the generator from ``perfbench/`` of
-this checkout, and the oracles from ``tests/``.
+also requires the graph to iterate in sorted triple order, the one order
+``Graph`` keeps for every caller.  It imports the program from ``src/`` and
+the generator from ``perfbench/`` of this checkout, and the oracles from
+``tests/``.
 
 Usage: python3 scripts/check_reader.py
 Exits 1 and names each differing result if any differs, else 0.
@@ -22,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from rightsvocab import TurtleSyntaxError, load_vocabulary, parse_turtle  # noqa: E402
+from rightsvocab.model import triple_sort_key  # noqa: E402
 
 import vocabgen  # noqa: E402
 from oracles import old_load_vocabulary, old_reader, old_token_outcome, token_outcome  # noqa: E402
@@ -49,11 +52,15 @@ def main() -> int:
         with old_reader():
             old_g = parse_turtle(text)
         loaded = load_vocabulary(g)
-        for what, same in (("token list", token_outcome(text) == old_token_outcome(text)),
-                           ("graph", g == old_g),
-                           ("vocabulary and report", loaded == old_load_vocabulary(old_g))):
+        old = "differs from the old read path's"
+        for what, same in (
+            (f"the token list {old}", token_outcome(text) == old_token_outcome(text)),
+            (f"the graph {old}", g == old_g),
+            ("the graph is not in sorted order", list(g) == sorted(g, key=triple_sort_key)),
+            (f"the vocabulary and report {old}", loaded == old_load_vocabulary(old_g)),
+        ):
             if not same:
-                print(f"FAILED {name}: the {what} differs from the old read path's")
+                print(f"FAILED {name}: {what}")
                 failures += 1
         print(f"{name}: {len(g)} triples, {len(loaded[0].statements)} statements checked")
     return 1 if failures else 0

@@ -72,4 +72,4 @@ def jsonld_document(triples: list[Triple]) -> str:
 
 
 def serialize_jsonld(g: Graph) -> str:
-    return jsonld_document(g.sorted_triples())
+    return jsonld_document(list(g))

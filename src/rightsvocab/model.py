@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -95,21 +96,24 @@ def triple_sort_key(t: Triple) -> tuple:
 
 
 class Graph:
-    """An immutable, duplicate-free set of triples, indexed by subject.
-
-    ``subjects``, ``triples_about`` and ``objects`` read the subject index,
-    so a lookup costs O(triples of that subject), not O(triples).
+    """An immutable, duplicate-free set of triples, indexed by subject and
+    kept in one order: subjects by ``term_sort_key``, each subject's triples
+    by ``triple_sort_key``.  Iteration and every lookup read that order, so no
+    caller sorts, and a lookup costs O(triples of that subject).
     """
 
     __slots__ = ("_triples", "_by_subject")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         ts = frozenset(triples)
-        by_subject: dict[SubjectTerm, list[Triple]] = {}
+        groups: dict[SubjectTerm, list[Triple]] = {}
         for t in ts:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a Triple: {t!r}")
-            by_subject.setdefault(t.subject, []).append(t)
+            groups.setdefault(t.subject, []).append(t)
+        # one sort per subject: sorting the whole graph at once costs more
+        by_subject = {s: sorted(groups[s], key=triple_sort_key)
+                      for s in sorted(groups, key=term_sort_key)}
         object.__setattr__(self, "_triples", ts)
         object.__setattr__(self, "_by_subject", by_subject)
 
@@ -117,7 +121,7 @@ class Graph:
         raise AttributeError("Graph is immutable")
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        return itertools.chain.from_iterable(self._by_subject.values())
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -134,23 +138,16 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples)"
 
-    def sorted_triples(self) -> list[Triple]:
-        return sorted(self._triples, key=triple_sort_key)
-
-    def subjects(self) -> set[SubjectTerm]:
-        return set(self._by_subject)
+    def subjects(self) -> list[SubjectTerm]:
+        return list(self._by_subject)
 
     def triples_about(self, subject: SubjectTerm) -> list[Triple]:
-        return sorted(self._by_subject.get(subject, ()), key=triple_sort_key)
+        return list(self._by_subject.get(subject, ()))
 
     def objects(self, subject: SubjectTerm, predicate: Iri) -> list[Term]:
         # predicates are ``Iri``s: equal strings are equal terms, compared without ``__eq__``
         value = predicate.value
-        return sorted(
-            (t.object for t in self._by_subject.get(subject, ())
-             if t.predicate.value == value),
-            key=term_sort_key,
-        )
+        return [t.object for t in self._by_subject.get(subject, ()) if t.predicate.value == value]
 
     def union(self, other: "Graph") -> "Graph":
         return Graph(self._triples | other._triples)

@@ -32,7 +32,7 @@ SUPPORTED_TYPES = ("text/html", "text/turtle", "application/ld+json")
 _SUPPORTED = tuple((t, *t.split("/")) for t in SUPPORTED_TYPES)
 VARY = "Accept, Accept-Language"
 
-_Q_RE = re.compile(r"^q=(\d(?:\.\d{0,3})?)$")
+_QVALUE_RE = re.compile(r"0(?:\.\d{0,3})?|1(?:\.0{0,3})?")
 _LANGUAGE_RANGE_RE = re.compile(r"\*|[A-Za-z]{1,8}(?:-[A-Za-z0-9]{1,8})*")
 _SCHEME_AUTHORITY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://[^/?#]*")
 
@@ -53,17 +53,17 @@ class LanguageRange:
 def _parse_q(params: list[str]) -> Optional[float]:
     q = 1.0
     for p in params:
-        m = _Q_RE.match(p.strip().replace(" ", "").lower())
-        if m:
-            q = float(m.group(1))
-            if q > 1.0:
+        p = p.strip().replace(" ", "").lower()
+        if p.startswith("q="):
+            if not _QVALUE_RE.fullmatch(p, 2):
                 return None
+            q = float(p[2:])
     return q
 
 
 def _elements(header: str):
-    """Each comma-separated element of ``header`` whose q is well formed:
-    its first part, its q and its position."""
+    """Each comma-separated element of ``header`` whose ``q=``, if any, is a
+    qvalue (RFC 9110 §12.4.2): its first part, its q (1 if none) and its position."""
     for idx, part in enumerate(header.split(",")):
         first, *params = part.split(";")
         q = _parse_q(params)

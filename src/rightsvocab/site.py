@@ -71,9 +71,9 @@ def record_to_graph(
         triples.append(Triple(subject, SCOPE_NOTE, Literal(text, lang=lang)))
     if r.creator:
         triples.append(Triple(subject, CREATOR, Literal(r.creator)))
-    triples.append(Triple(subject, HAS_VERSION, Literal(r.version)))
+    triples.append(Triple(subject, HAS_VERSION, Literal(r.uri.version)))
     triples.append(Triple(subject, MODIFIED, Literal(r.modified)))
-    triples.append(Triple(subject, IDENTIFIER, Literal(r.identifier)))
+    triples.append(Triple(subject, IDENTIFIER, Literal(r.uri.name)))
     if r.jurisdiction:
         triples.append(Triple(subject, COVERAGE, Literal(r.jurisdiction)))
     for m in r.matches:
@@ -149,8 +149,8 @@ def render_statement_html(
     lines.append("<dl>")
     # None marks a row left out; an empty creator or jurisdiction is unset
     for term, prop, value in (
-        ("Identifier", "dc:identifier", r.identifier),
-        ("Version", "dcterms:hasVersion", r.version),
+        ("Identifier", "dc:identifier", r.uri.name),
+        ("Version", "dcterms:hasVersion", r.uri.version),
         ("Creator", "dc:creator", r.creator or None),
         ("Modified", "dcterms:modified", r.modified),
         ("Jurisdiction", "dcterms:coverage", r.jurisdiction or None),

@@ -16,10 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names,
-    term_sort_key,
-)
+from .model import BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
@@ -52,7 +49,7 @@ _TOKEN = re.compile(r"""
   | (?P<numeric>[0-9])
   | (?P<boolean>(?:true|false)(?![A-Za-z0-9_.:-]))
   | (?P<a>a(?![A-Za-z0-9_.:-]))
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:)
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?|:)
   | (?P<word>[A-Za-z_][A-Za-z0-9_.-]*)
   | (?P<open_iri><)
   | (?P<open_string>")
@@ -315,7 +312,7 @@ PREFIXES = "\n".join(f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items
 def turtle_blocks(g: Graph) -> list[str]:
     """Each subject's block, in subject order, except the blank nodes written
     inline: the subject, its predicate-object list and the closing `` .``."""
-    names = display_names(g.sorted_triples())
+    names = display_names(g)
     inline = _inlinable(g)
     out: list[str] = []  # every nesting level appends here, so no text is copied twice
 
@@ -344,7 +341,7 @@ def turtle_blocks(g: Graph) -> list[str]:
                 out.append("[]")
 
     blocks = []
-    for subject in sorted(g.subjects() - inline, key=term_sort_key):
+    for subject in [s for s in g.subjects() if s not in inline]:
         out[:] = [_shrink_iri(subject) if isinstance(subject, Iri) else f"_:{names[subject]}"]
         predicates(g.triples_about(subject), 1)
         blocks.append("".join(out) + " .")

@@ -6,7 +6,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal, triple_sort_key
+from .model import BlankNode, Graph, Iri, Literal
 from .namespaces import CC, DC11, DCTERMS, EDM, ODRL_ALIASES, RDF_TYPE, SKOS
 from .uris import (
     DEFAULT_CONFIG,
@@ -70,11 +70,9 @@ class MatchSpec:
 @dataclass(frozen=True)
 class StatementRecord:
     uri: StatementUri
-    identifier: str
     pref_labels: dict[str, str]
     definitions: dict[str, str]
     creator: str
-    version: str
     modified: str
     matches: tuple[MatchSpec, ...] = ()
     permissions: tuple[PermissionSpec, ...] = ()
@@ -186,13 +184,12 @@ def load_vocabulary(
     scheme_uri = Iri(cfg.scheme_uri())
     title: dict[str, str] = {}
     # the greatest IRI subject is the scheme; titles merge in subject order
-    schemes = [t for t in g
-               if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS]
-    for t in sorted(schemes, key=triple_sort_key):
-        scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
-        for obj in g.objects(t.subject, TITLE):
-            if isinstance(obj, Literal) and obj.lang:
-                title[obj.lang] = obj.lexical
+    for t in g:
+        if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS:
+            scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
+            for obj in g.objects(t.subject, TITLE):
+                if isinstance(obj, Literal) and obj.lang:
+                    title[obj.lang] = obj.lexical
 
     # candidate statements: in-namespace subjects with any assertions
     candidates: dict[Iri, StatementUri] = {}
@@ -276,11 +273,9 @@ def load_vocabulary(
 
         record = StatementRecord(
             uri=parsed.without_validity(),
-            identifier=identifier,
             pref_labels=pref_labels,
             definitions=definitions,
             creator=_single_plain(g, subject, CREATOR) or "",
-            version=version,
             modified=modified,
             matches=tuple(matches),
             permissions=permissions,
@@ -408,7 +403,7 @@ def check_object_references(
     objects: Graph, v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG
 ) -> ReferenceReport:
     report = ReferenceReport()
-    for t in objects.sorted_triples():
+    for t in objects:
         if t.predicate not in RIGHTS_PREDICATES:
             continue
         subj = t.subject.value if isinstance(t.subject, Iri) else f"_:{t.subject.label}"

@@ -13,9 +13,10 @@ package builds, kept apart from the package because no command needs them.
 - ``jsonld_document`` is the JSON-LD writer as it was before it wrote its
   text itself: the same node objects, encoded by ``json.dumps``.
 - ``old_reader`` puts back the read path as it was before the string
-  alternative of the token pattern was unrolled (``OLD_TOKEN``) and before
-  ``Graph.objects`` compared predicates by string; ``old_load_vocabulary``
-  also finds the ConceptScheme by the old loop over every sorted triple.
+  alternative of the token pattern was unrolled (``OLD_TOKEN``, whose other
+  alternatives are ``_TOKEN``'s) and before ``Graph.objects`` compared
+  predicates by string; ``old_load_vocabulary`` also finds the ConceptScheme
+  by the old loop over every triple, sorted here rather than by ``Graph``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from rightsvocab import load_vocabulary, turtle
 from rightsvocab.jsonld import _compact, _node_id
 from rightsvocab.model import (
     BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names, term_sort_key,
+    triple_sort_key,
 )
 from rightsvocab.namespaces import NAMESPACE_TABLE, RDF_TYPE
 from rightsvocab.uris import DEFAULT_CONFIG, NamespaceConfig
@@ -328,7 +330,7 @@ OLD_TOKEN = re.compile(r"""
   | (?P<numeric>[0-9])
   | (?P<boolean>(?:true|false)(?![A-Za-z0-9_.:-]))
   | (?P<a>a(?![A-Za-z0-9_.:-]))
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:[A-Za-z0-9_.-]*|:)
+  | (?P<pname>[A-Za-z_][A-Za-z0-9_.-]*:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?|:)
   | (?P<word>[A-Za-z_][A-Za-z0-9_.-]*)
   | (?P<open_iri><)
   | (?P<open_string>")
@@ -378,7 +380,7 @@ def old_load_vocabulary(
     with old_reader():
         vocab, report = load_vocabulary(g, cfg)
         scheme_uri, title = Iri(cfg.scheme_uri()), {}
-        for t in g.sorted_triples():
+        for t in sorted(g, key=triple_sort_key):
             if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS:
                 scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
                 for obj in g.objects(t.subject, TITLE):

@@ -62,8 +62,8 @@ def test_criterion_1_fixture_fidelity(ic_edu_text, ic_edu_graph):
     assert record.definitions["en"].startswith(
         "This digital object is protected by copyright and/or related rights."
     )
-    assert record.identifier == "ic-edu"
-    assert record.version == "1.0"
+    assert record.uri.name == "ic-edu"
+    assert record.uri.version == "1.0"
     assert [(m.relation, m.target.value) for m in record.matches] == [
         ("relatedMatch", "http://id.loc.gov/vocabulary/preservation/copying/cpr")
     ]

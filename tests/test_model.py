@@ -36,7 +36,7 @@ def graphs(draw):
 
 @given(graphs(), subjects, predicates)
 def test_index_matches_full_scan(g, subject, predicate):
-    assert g.subjects() == {t.subject for t in g}
+    assert g.subjects() == sorted({t.subject for t in g}, key=term_sort_key)
     assert g.triples_about(subject) == sorted(
         (t for t in g if t.subject == subject), key=triple_sort_key
     )
@@ -44,6 +44,15 @@ def test_index_matches_full_scan(g, subject, predicate):
         (t.object for t in g if t.subject == subject and t.predicate == predicate),
         key=term_sort_key,
     )
+
+
+@given(triple_lists.flatmap(lambda ts: st.tuples(st.just(ts), st.permutations(ts))))
+def test_one_order_whatever_the_input_order(drawn):
+    ts, shuffled = drawn
+    want = sorted(set(ts), key=triple_sort_key)
+    g = Graph(shuffled)
+    assert list(g) == want
+    assert g.subjects() == list(dict.fromkeys(t.subject for t in want))
 
 
 def test_absent_subject_has_no_triples():
@@ -75,7 +84,7 @@ def test_lookups_return_fresh_containers():
     g.subjects().clear()
     g.triples_about(t.subject).clear()
     g.objects(t.subject, t.predicate).clear()
-    assert g.subjects() == {t.subject}
+    assert g.subjects() == [t.subject]
     assert g.triples_about(t.subject) == [t]
     assert g.objects(t.subject, t.predicate) == [t.object]
 

@@ -59,6 +59,29 @@ def test_parse_accept_skips_garbage():
     assert MediaRange("text", "turtle", 1.0) in got
 
 
+# RFC 9110 §12.4.2: a qvalue is 0 to 1 with at most three decimals; an
+# element whose q= is anything else is dropped, not read as q=1
+@pytest.mark.parametrize("q,want", [
+    ("0", 0.0), ("0.", 0.0), ("0.125", 0.125), ("1", 1.0), ("1.000", 1.0), ("Q=0.5", 0.5),
+    ("abc", None), ("", None), ("0.0001", None), ("2", None), ("1.001", None), ("-0", None),
+])
+def test_a_q_that_is_no_qvalue_drops_its_element(q, want):
+    param = q if q.startswith("Q=") else f"q={q}"
+    kept = [] if want is None else [want]
+    media = parse_accept(f"text/turtle;{param}, text/html;q=0.5")
+    assert [r.q for r in media if r.subtype == "turtle"] == kept
+    assert [r.q for r in parse_accept_language(f"nl;{param}, en;q=0.5") if r.tag == "nl"] == kept
+
+
+def test_malformed_q_does_not_win_negotiation():
+    assert select_media_type(
+        parse_accept("text/turtle;q=0.0001, application/ld+json;q=0.5")
+    ) == "application/ld+json"
+    assert select_language(
+        ["en", "nl"], parse_accept_language("nl;q=0.0001, en;q=0.5")
+    ) == "en"
+
+
 def test_parse_accept_language_q_ordering():
     assert parse_accept_language("nl, en;q=0.5") == [
         LanguageRange("nl", 1.0),

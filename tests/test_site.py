@@ -255,10 +255,10 @@ def _splice_vocabulary() -> Vocabulary:
 
     def record(name, version, jurisdiction, permissions, matches=()):
         return StatementRecord(
-            uri=StatementUri(name, version, jurisdiction), identifier=name,
+            uri=StatementUri(name, version, jurisdiction),
             pref_labels={"en": name.upper(), "nl": f"{name} (nl)"},
             definitions={"en": f"The {name} statement."}, creator="Rights WG",
-            version=version, modified="2015-05-02",
+            modified="2015-05-02",
             matches=tuple(MatchSpec("closeMatch", Iri(m)) for m in matches),
             permissions=tuple(
                 PermissionSpec(Iri(ODRL + "use"), (ConstraintSpec(

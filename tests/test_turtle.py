@@ -59,6 +59,21 @@ def test_prefixed_names_and_a_keyword():
     assert Triple(Iri(EX + "x"), Iri(RDF_TYPE), Iri(DCTERMS + "RightsStatement")) in g
 
 
+# a prefixed name's local part never ends in "." (W3C Turtle PN_LOCAL), so a
+# "." right after it closes the statement; an inner "." stays in the name
+@pytest.mark.parametrize("text,triple", [
+    ("@prefix ex: <http://e.org/>.\nex:s a ex:C.", ("s", "C")),
+    ("@prefix ex: <http://e.org/> .\nex:s a ex:a.b .", ("s", "a.b")),
+    ("@prefix ex: <http://e.org/> .\nex:s a ex:a.b.", ("s", "a.b")),
+    ("@prefix ex: <http://e.org/> .\nex:s a ex:.", ("s", "")),
+])
+def test_prefixed_name_before_the_closing_dot(text, triple):
+    s, o = triple
+    assert parse_turtle(text) == Graph([
+        Triple(Iri("http://e.org/" + s), Iri(RDF_TYPE), Iri("http://e.org/" + o)),
+    ])
+
+
 def test_object_list_and_predicate_list():
     g = parse_turtle(
         f'<{EX}s> <{EX}p> "a"@en , "b"@nl ; <{EX}q> <{EX}o> .'

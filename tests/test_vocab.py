@@ -32,8 +32,8 @@ def test_ic_edu_record_fields(ic_edu_graph):
     vocab, report = load_vocabulary(ic_edu_graph)
     assert report.accepted
     record = vocab.statements[IC_EDU_KEY]
-    assert record.identifier == "ic-edu"
-    assert record.version == "1.0"
+    assert record.uri.name == "ic-edu"
+    assert record.uri.version == "1.0"
     assert record.pref_labels["en"] == "In Copyright - Educational Use Only"
     assert record.matches == (
         MatchSpec("relatedMatch",
@@ -250,7 +250,6 @@ def test_version_bump_is_skipped(vocabulary):
     statements["http://rightsstatements.org/rs/ic-edu/2.0/"] = dataclasses.replace(
         record,
         uri=StatementUri("ic-edu", "2.0"),
-        version="2.0",
         definitions={**record.definitions, "en": "Rewritten definition."},
     )
     bumped = Vocabulary(vocabulary.scheme_uri, vocabulary.title, statements)
