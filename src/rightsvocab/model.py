@@ -95,6 +95,10 @@ def triple_sort_key(t: Triple) -> tuple:
     return (term_sort_key(t.subject), t.predicate.value, term_sort_key(t.object))
 
 
+def _predicate_object_key(t: Triple) -> tuple:
+    return (t.predicate.value, term_sort_key(t.object))
+
+
 class Graph:
     """An immutable, duplicate-free set of triples, indexed by subject and
     kept in one order: subjects by ``term_sort_key``, each subject's triples
@@ -111,8 +115,9 @@ class Graph:
             if not isinstance(t, Triple):
                 raise TypeError(f"not a Triple: {t!r}")
             groups.setdefault(t.subject, []).append(t)
-        # one sort per subject: sorting the whole graph at once costs more
-        by_subject = {s: sorted(groups[s], key=triple_sort_key)
+        # one sort per subject: sorting the whole graph at once costs more, and
+        # within a subject triple_sort_key's first part is the same for every triple
+        by_subject = {s: sorted(groups[s], key=_predicate_object_key)
                       for s in sorted(groups, key=term_sort_key)}
         object.__setattr__(self, "_triples", ts)
         object.__setattr__(self, "_by_subject", by_subject)

@@ -17,6 +17,8 @@ package builds, kept apart from the package because no command needs them.
   alternatives are ``_TOKEN``'s) and before ``Graph.objects`` compared
   predicates by string; ``old_load_vocabulary`` also finds the ConceptScheme
   by the old loop over every triple, sorted here rather than by ``Graph``.
+- ``old_negotiate`` is ``negotiate`` as it was before each snapshot memoized
+  what it resolved: every call parses the URI and the headers.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from collections import Counter, defaultdict
 from html.parser import HTMLParser
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import Mapping, Optional
 from unittest import mock
 
 from rightsvocab import load_vocabulary, turtle
@@ -39,8 +41,15 @@ from rightsvocab.model import (
     triple_sort_key,
 )
 from rightsvocab.namespaces import NAMESPACE_TABLE, RDF_TYPE
+from rightsvocab.server import (
+    _DOC_SUFFIX, _NOT_FOUND, VARY, Response, Snapshot, _field, parse_accept,
+    parse_accept_language, select_language, select_media_type,
+)
+from rightsvocab.site import statement_dir
 from rightsvocab.uris import DEFAULT_CONFIG, NamespaceConfig
-from rightsvocab.vocab import CONCEPT_SCHEME_CLASS, TITLE, ValidationReport, Vocabulary
+from rightsvocab.vocab import (
+    CONCEPT_SCHEME_CLASS, TITLE, ValidationReport, Vocabulary, lookup_statement,
+)
 
 
 # --- RDFa extraction, scoped to the markup the generator writes ----------
@@ -387,3 +396,24 @@ def old_load_vocabulary(
                     if isinstance(obj, Literal) and obj.lang:
                         title[obj.lang] = obj.lexical
     return dataclasses.replace(vocab, scheme_uri=scheme_uri, title=title), report
+
+
+# --- negotiation without the snapshot's memo tables -------------------------
+
+def old_negotiate(rel: str, headers: Mapping[str, str], snapshot: Snapshot) -> Response:
+    """The 303 for the scheme URI or a statement URI at ``rel`` (no
+    leading slash, no query), or 404.  A header is read only once the
+    URI resolves, and Accept-Language only when HTML is chosen."""
+    if rel.rstrip("/") == "rs":
+        base, langs = "rs/", snapshot.overview_langs
+    else:
+        cfg = snapshot.cfg
+        record = lookup_statement(snapshot.vocabulary, cfg.base + "/" + rel, cfg)
+        if record is None:
+            return _NOT_FOUND
+        base, langs = statement_dir(record), record.languages()
+    doc = _DOC_SUFFIX.get(select_media_type(parse_accept(_field(headers, "accept"))))
+    if doc is None:
+        ranges = parse_accept_language(_field(headers, "accept-language"))
+        doc = f"index.{select_language(langs, ranges)}.html"
+    return 303, (("Vary", VARY), ("Location", f"/{base}{doc}"), ("Content-Length", "0")), b""

@@ -5,12 +5,13 @@ import socket
 import statistics
 import string
 import struct
+import sys
 import time
 from types import SimpleNamespace
 from urllib.parse import quote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rightsvocab import (
@@ -18,13 +19,19 @@ from rightsvocab import (
     MediaRange,
     NegotiationServer,
     Snapshot,
+    generate_site,
     handle_request,
+    load_vocabulary,
     parse_accept,
     parse_accept_language,
+    parse_turtle,
 )
 from rightsvocab import server
 from rightsvocab.server import select_language, select_media_type
 from rightsvocab.site import statement_dir
+
+from conftest import fixture_text
+from oracles import old_negotiate
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +338,88 @@ def test_handle_request_contract(snapshot, data):
     assert int(fields["Content-Length"]) == len(body if method != "HEAD" else get[2])
     if status == 303:
         assert handle_request("GET", fields["Location"], headers, snapshot)[0] == 200
+
+
+@pytest.fixture(scope="module")
+def long_lived():
+    """One snapshot whose memo tables carry over from example to example,
+    of the fixture with a German label on ic-edu and US English in place of
+    Dutch on pd/US, so that one Accept-Language selects per directory."""
+    text = fixture_text("vocabulary.ttl")
+    for old, new in (('gebruik"@nl ;', 'gebruik"@nl , "Nur Bildungszwecke"@de ;'),
+                     ('"Publiek domein (Verenigde Staten)"@nl', '"Public Domain (US)"@en-US')):
+        assert old in text
+        text = text.replace(old, new)
+    vocabulary, report = load_vocabulary(parse_turtle(text))
+    assert report.accepted, report.errors
+    return Snapshot(manifest=generate_site(vocabulary), vocabulary=vocabulary)
+
+
+def _memo_tables(snapshot):
+    return snapshot.routes, snapshot.media, snapshot.languages
+
+
+# too_slow: run alone, the first example also builds hypothesis's character tables
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_memoized_negotiation_answers_as_negotiation_without_memo(long_lived, data):
+    # tables of 2 entries empty mid-sequence, tables at the real bound keep
+    # entries from example to example, and a padded header is too long to keep
+    bound = data.draw(st.sampled_from([2, server._MEMO_ENTRIES]))
+    pad = ", x" * (server._MEMO_KEY_CHARS // 3 + 1)
+    requests = data.draw(st.lists(st.tuples(_requests(long_lived), st.booleans()), max_size=12))
+    dirs = ["rs/"] + sorted(statement_dir(r) for r in long_lived.vocabulary.statements.values())
+    # a table left fuller by an earlier example empties at its next store
+    sizes = [max(bound, len(t)) for t in _memo_tables(long_lived)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(server, "_MEMO_ENTRIES", bound)
+        for (_, path, headers), padded in requests:
+            if padded:
+                headers = {k: v + pad for k, v in headers.items()}
+            # the drawn path, then every directory with the same headers
+            for rel in (path.partition("?")[0].lstrip("/"), *dirs):
+                assert server.negotiate(rel, headers, long_lived) == \
+                    old_negotiate(rel, headers, long_lived)
+                assert all(len(t) <= n for t, n in zip(_memo_tables(long_lived), sizes))
+
+
+def _deep_size(table: dict) -> int:
+    """Bytes of ``table``, its keys and its values, tuples and lists opened,
+    shared objects counted once per reference."""
+    def size(x):
+        inner = x if isinstance(x, (tuple, list)) else ()
+        return sys.getsizeof(x) + sum(size(y) for y in inner)
+    return sys.getsizeof(table) + sum(size(k) + size(v) for k, v in table.items())
+
+
+def test_memo_tables_stay_within_their_bounds_under_a_flood(vocabulary, manifest):
+    snap = Snapshot(manifest=manifest, vocabulary=vocabulary)
+    big = "x" * 60_000
+    for i in range(2000):
+        ghost = "gh\u014dst" if i % 2 else "ghost"  # a short part that is not ASCII is not kept
+        assert handle_request("GET", f"/rs/{ghost}-{i}/1.0/", {}, snap)[0] == 404
+        sent = {"Accept": f"text/{big}{i}", "Accept-Language": f"nl, {big}{i}"}
+        status, headers, _ = handle_request("GET", "/rs/ic/1.0/", sent, snap)
+        assert (status, dict(headers)["Location"]) == (303, "/rs/ic/1.0/index.nl.html")
+    for table in _memo_tables(snap):
+        assert len(table) <= server._MEMO_ENTRIES
+        for key in table:
+            part = key[0] if isinstance(key, tuple) else key
+            assert part is None or (len(part) <= server._MEMO_KEY_CHARS and part.isascii())
+    # the stated worst case: full tables whose key parts are as long as is
+    # kept, and routes that resolve (extra slashes keep them distinct)
+    snap = Snapshot(manifest=manifest, vocabulary=vocabulary)
+    n, chars = server._MEMO_ENTRIES, server._MEMO_KEY_CHARS
+    for i in range(n):
+        a, b = divmod(i, 64)
+        path = "rs" + "/" * (a + 1) + "ic" + "/" * (b + 1) + "1.0"
+        path += "/" * (chars - len(path))
+        tail = f"{i:0{chars}d}"  # no media range and no language range: HTML in English
+        sent = {"Accept": tail, "Accept-Language": tail}
+        status, headers, _ = handle_request("GET", "/" + path, sent, snap)
+        assert (status, dict(headers)["Location"]) == (303, "/rs/ic/1.0/index.en.html")
+    assert [len(t) for t in _memo_tables(snap)] == [n, n, n]
+    assert sum(_deep_size(t) for t in _memo_tables(snap)) < 2 ** 20
 
 
 @pytest.fixture
