@@ -56,7 +56,8 @@ class Literal:
     def __post_init__(self) -> None:
         if self.lang is not None and self.datatype is not None:
             raise ValueError("literal cannot carry both a language tag and a datatype")
-        if self.lang is not None:
+        # a tag the pattern takes as it is is already normalized
+        if self.lang is not None and not _LANG.match(self.lang):
             norm = normalize_lang(self.lang)
             if not _LANG.match(norm):
                 raise ValueError(f"malformed language tag: {self.lang!r}")

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .jsonld import jsonld_document, serialize_jsonld
+from .jsonld import CompactIris, jsonld_document, serialize_jsonld
 from .model import BlankNode, Graph, Iri, Literal, Triple, term_sort_key
 from .namespaces import NAMESPACE_TABLE, ODRL, RDF_TYPE, SKOS
-from .turtle import PREFIXES, serialize_turtle, turtle_blocks
+from .turtle import PREFIXES, ShrunkIris, serialize_turtle, turtle_blocks
 from .uris import DEFAULT_CONFIG, NamespaceConfig, build_statement_uri
 from .vocab import (
     CONCEPT_SCHEME_CLASS,
@@ -53,6 +53,12 @@ class SiteManifest:
         self.entries[path] = SiteEntry(content.encode("utf-8"), media_type, language)
 
 
+_TYPE = Iri(RDF_TYPE)
+_PERMISSION, _ACTION, _CONSTRAINT, _OPERATOR, _PURPOSE = (
+    Iri(ODRL + local) for local in ("permission", "action", "constraint", "operator", "purpose")
+)
+
+
 def record_to_graph(
     r: StatementRecord,
     cfg: NamespaceConfig = DEFAULT_CONFIG,
@@ -62,7 +68,7 @@ def record_to_graph(
     if counter is None:
         counter = itertools.count()
     subject = Iri(build_statement_uri(r.uri, cfg))
-    triples = [Triple(subject, Iri(RDF_TYPE), RIGHTS_STATEMENT_CLASS)]
+    triples = [Triple(subject, _TYPE, RIGHTS_STATEMENT_CLASS)]
     for lang, text in r.pref_labels.items():
         triples.append(Triple(subject, PREF_LABEL, Literal(text, lang=lang)))
     for lang, text in r.definitions.items():
@@ -80,18 +86,18 @@ def record_to_graph(
         triples.append(Triple(subject, Iri(SKOS + m.relation), m.target))
     for perm in r.permissions:
         pnode = BlankNode(f"p{next(counter)}")
-        triples.append(Triple(subject, Iri(ODRL + "permission"), pnode))
-        triples.append(Triple(pnode, Iri(ODRL + "action"), perm.action))
+        triples.append(Triple(subject, _PERMISSION, pnode))
+        triples.append(Triple(pnode, _ACTION, perm.action))
         for c in perm.constraints:
             cnode = BlankNode(f"p{next(counter)}")
-            triples.append(Triple(pnode, Iri(ODRL + "constraint"), cnode))
-            triples.append(Triple(cnode, Iri(ODRL + "operator"), c.operator))
-            triples.append(Triple(cnode, Iri(ODRL + "purpose"), c.purpose))
+            triples.append(Triple(pnode, _CONSTRAINT, cnode))
+            triples.append(Triple(cnode, _OPERATOR, c.operator))
+            triples.append(Triple(cnode, _PURPOSE, c.purpose))
     return Graph(triples)
 
 
 def _scheme_graph(v: Vocabulary) -> Graph:
-    return Graph([Triple(v.scheme_uri, Iri(RDF_TYPE), CONCEPT_SCHEME_CLASS)] + [
+    return Graph([Triple(v.scheme_uri, _TYPE, CONCEPT_SCHEME_CLASS)] + [
         Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()
     ])
 
@@ -112,16 +118,17 @@ def statement_dir(r: StatementRecord) -> str:
     return path
 
 
-_PREFIX_ATTR = " ".join(f"{p}: {ns}" for p, ns in NAMESPACE_TABLE.items())
-
-
 def _esc(s: str) -> str:
     return html_mod.escape(s, quote=True)
 
 
-def _head(lang: str, title: str) -> list[str]:
-    return ["<!DOCTYPE html>", f'<html lang="{_esc(lang)}" prefix="{_esc(_PREFIX_ATTR)}">',
-            "<head>", '<meta charset="utf-8">', f"<title>{_esc(title)}</title>", "</head>", "<body>"]
+_PREFIX_ATTR = _esc(" ".join(f"{p}: {ns}" for p, ns in NAMESPACE_TABLE.items()))
+
+
+def _head(lang_attr: str, title: str) -> str:
+    """The page up to ``<body>``; ``lang_attr`` is the escaped language."""
+    return (f'<!DOCTYPE html>\n<html lang="{lang_attr}" prefix="{_PREFIX_ATTR}">\n<head>\n'
+            f'<meta charset="utf-8">\n<title>{_esc(title)}</title>\n</head>\n<body>')
 
 
 def _iri_link(prop: str, iri: Iri) -> str:
@@ -129,24 +136,18 @@ def _iri_link(prop: str, iri: Iri) -> str:
     return f'<a property="{prop}" resource="{v}" href="{v}">{v}</a>'
 
 
-def render_statement_html(
-    r: StatementRecord, lang: str, cfg: NamespaceConfig = DEFAULT_CONFIG
-) -> str:
-    if lang not in r.pref_labels:
-        raise KeyError(f"no {lang!r} translation for {r.uri.name}")
-    uri = build_statement_uri(r.uri, cfg)
-    label = r.pref_labels[lang]
-    lines = _head(lang, label) + [
-        f'<article about="{_esc(uri)}" typeof="dcterms:RightsStatement">',
-        f'<h1 property="skos:prefLabel" lang="{_esc(lang)}">{_esc(label)}</h1>',
-        f'<p property="skos:definition" lang="{_esc(lang)}">{_esc(r.definitions[lang])}</p>'
-        if lang in r.definitions else "",
-    ]
-    if lang in r.notes:
-        lines.append(
-            f'<p property="skos:scopeNote" lang="{_esc(lang)}">{_esc(r.notes[lang])}</p>'
-        )
-    lines.append("<dl>")
+@dataclass(frozen=True)
+class StatementParts:
+    """The markup of a statement's page that no language changes, escaped
+    once for all of its pages."""
+
+    about: str  # the opening ``<article>`` tag
+    body: str  # the ``<dl>`` rows, the matches and the permissions
+    translations: dict[str, str]  # language -> the ``<li>`` linking its page
+
+
+def statement_parts(r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG) -> StatementParts:
+    lines = ["<dl>"]
     # None marks a row left out; an empty creator or jurisdiction is unset
     for term, prop, value in (
         ("Identifier", "dc:identifier", r.uri.name),
@@ -174,19 +175,53 @@ def render_statement_html(
             lines.append(f'<span>{_iri_link("odrl:purpose", c.purpose)}</span>')
             lines.append("</div>")
         lines.append("</div>")
-    others = [l for l in r.languages() if l != lang]
+    return StatementParts(
+        about=(f'<article about="{_esc(build_statement_uri(r.uri, cfg))}"'
+               ' typeof="dcterms:RightsStatement">'),
+        body="\n".join(lines),
+        translations={
+            lang: f'<li><a href="index.{_esc(lang)}.html">{_esc(lang)}</a></li>'
+            for lang in r.languages()
+        },
+    )
+
+
+def render_statement_html(
+    r: StatementRecord,
+    lang: str,
+    cfg: NamespaceConfig = DEFAULT_CONFIG,
+    parts: Optional[StatementParts] = None,
+) -> str:
+    """The page of ``r`` in ``lang``; ``parts``, if given, is
+    ``statement_parts(r, cfg)``, computed once for all of ``r``'s pages."""
+    if lang not in r.pref_labels:
+        raise KeyError(f"no {lang!r} translation for {r.uri.name}")
+    if parts is None:
+        parts = statement_parts(r, cfg)
+    lang_attr = _esc(lang)
+    label = r.pref_labels[lang]
+    lines = [
+        _head(lang_attr, label),
+        parts.about,
+        f'<h1 property="skos:prefLabel" lang="{lang_attr}">{_esc(label)}</h1>',
+    ]
+    if lang in r.definitions:
+        lines.append(
+            f'<p property="skos:definition" lang="{lang_attr}">{_esc(r.definitions[lang])}</p>'
+        )
+    if lang in r.notes:
+        lines.append(f'<p property="skos:scopeNote" lang="{lang_attr}">{_esc(r.notes[lang])}</p>')
+    lines.append(parts.body)
     lines.append("<section><h2>Other translations</h2><ul>")
-    for other in others:
-        lines.append(f'<li><a href="index.{_esc(other)}.html">{_esc(other)}</a></li>')
-    lines.append("</ul></section>")
-    lines.extend(["</article>", "</body>", "</html>"])
-    return "\n".join(line for line in lines if line) + "\n"
+    lines.extend(li for other, li in parts.translations.items() if other != lang)
+    lines.append("</ul></section>\n</article>\n</body>\n</html>\n")
+    return "\n".join(lines)
 
 
 def render_overview_html(v: Vocabulary, lang: str) -> str:
     title_lang = lang if lang in v.title else "en"
     title = v.title.get(title_lang, "Rights statements")
-    lines = _head(lang, title)
+    lines = [_head(_esc(lang), title)]
     lines.append(f'<main about="{_esc(v.scheme_uri.value)}" typeof="skos:ConceptScheme">')
     if title_lang in v.title:
         lines.append(
@@ -205,35 +240,52 @@ def render_overview_html(v: Vocabulary, lang: str) -> str:
 
 
 def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteManifest:
-    """Every document; ``rs/data.*`` are spliced from the per-statement ones."""
+    """Every document; ``rs/data.*`` are spliced from the per-statement ones.
+
+    Work repeated across documents is done once per call: each statement's
+    language-independent markup, each IRI's short forms, and the JSON-LD
+    text of each node free of blank nodes, which ``rs/data.jsonld`` reuses.
+    """
     manifest = SiteManifest()
     counter = itertools.count()
+    shrink, compact = ShrunkIris(), CompactIris()
     all_langs: set[str] = set(v.title) | {"en"}
     scheme = _scheme_graph(v)
-    blocks = {v.scheme_uri: turtle_blocks(scheme)[0]}
+    blocks = {v.scheme_uri: turtle_blocks(scheme, shrink)[0]}
     about = {v.scheme_uri: scheme.triples_about(v.scheme_uri)}
+    nodes: dict[str, str] = {}  # @id -> JSON-LD text, of nodes free of blank nodes
     for key in sorted(v.statements):
         r = v.statements[key]
         base = statement_dir(r)
         g = record_to_graph(r, cfg, counter)
-        ttl = serialize_turtle(g)
+        ttl = serialize_turtle(g, shrink)
         manifest.add(base + "data.ttl", ttl, "text/turtle")
-        manifest.add(base + "data.jsonld", serialize_jsonld(g), "application/ld+json")
+        kept: dict[str, str] = {}
+        jsonld = serialize_jsonld(g, kept, compact)
+        manifest.add(base + "data.jsonld", jsonld, "application/ld+json")
         # a record's blank nodes are all inlined: its document has one block
         blocks[Iri(build_statement_uri(r.uri, cfg))] = ttl[len(PREFIXES) + 2:-1]
-        about.update((s, g.triples_about(s)) for s in g.subjects())
+        for s in g.subjects():  # the last graph to describe a subject gives its node
+            if isinstance(s, Iri) and s.value in kept:
+                about.pop(s, None)
+            else:
+                about[s] = g.triples_about(s)
+                if isinstance(s, Iri):
+                    nodes.pop(s.value, None)
+        nodes.update(kept)
+        parts = statement_parts(r, cfg)
         for lang in r.languages():
             manifest.add(
                 base + f"index.{lang}.html",
-                render_statement_html(r, lang, cfg),
+                render_statement_html(r, lang, cfg, parts),
                 "text/html",
                 language=lang,
             )
         all_langs.update(r.languages())
     turtle = [PREFIXES] + [blocks[s] for s in sorted(blocks, key=term_sort_key)]
     manifest.add("rs/data.ttl", "\n\n".join(turtle) + "\n", "text/turtle")
-    jsonld = jsonld_document([t for s in sorted(about, key=term_sort_key) for t in about[s]])
-    manifest.add("rs/data.jsonld", jsonld, "application/ld+json")
+    triples = [t for s in sorted(about, key=term_sort_key) for t in about[s]]
+    manifest.add("rs/data.jsonld", jsonld_document(triples, nodes, compact), "application/ld+json")
     for lang in sorted(all_langs):
         manifest.add(
             f"rs/index.{lang}.html",
@@ -252,9 +304,15 @@ def write_manifest(manifest: SiteManifest, out_dir: Path) -> int:
         os.makedirs(os.path.join(out_dir, parent), exist_ok=True)
     for rel, entry in manifest.entries.items():
         # no O_TRUNC: freeing and reallocating an existing file's blocks costs more than the write
-        with open(os.open(os.path.join(out_dir, rel), os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-            f.write(entry.content)
-            f.truncate()
+        fd = os.open(os.path.join(out_dir, rel), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            data = entry.content
+            written = os.write(fd, data)
+            while written < len(data):  # a write may take only part of what it is given
+                written += os.write(fd, memoryview(data)[written:])
+            os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
     rs = os.path.join(out_dir, "rs")
     for root, _, files in os.walk(rs, topdown=False):
         rel = ("rs" + root[len(rs):]).replace(os.sep, "/")

@@ -71,6 +71,7 @@ _REJECTED = {
 }
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
+_A = Iri(RDF_TYPE)
 
 
 # Deepest nesting of ``[ ... ]`` the reader takes.  It spends 2 stack frames
@@ -103,12 +104,14 @@ def _tokenize(text: str) -> list[_Token]:
         if kind in _REJECTED:
             raise TurtleSyntaxError(_REJECTED[kind].format(value), line, col)
         if kind == "string":
-            try:
-                value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value[1:-1])
-            except KeyError as exc:
-                raise TurtleSyntaxError(
-                    f"unsupported escape: \\{exc.args[0]}", line, col
-                ) from None
+            value = value[1:-1]
+            if "\\" in value:
+                try:
+                    value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
+                except KeyError as exc:
+                    raise TurtleSyntaxError(
+                        f"unsupported escape: \\{exc.args[0]}", line, col
+                    ) from None
         elif kind == "iri":
             value = value[1:-1]
         elif kind == "prefix":
@@ -135,6 +138,10 @@ class _Parser:
         # a plain dict: a default factory bound to ``self`` would form a cycle
         # that keeps each parse's tokens alive until the cyclic collector runs
         self._labels: dict[str, BlankNode] = {}
+        # each distinct IRI token is resolved once per parse; a prefixed name
+        # is resolved again after an ``@prefix``, which may redeclare its prefix
+        self._iris: dict[str, Iri] = {}
+        self._pnames: dict[str, Iri] = {}
         self._depth = 0
 
     def _next(self, kind: Optional[str] = None) -> _Token:
@@ -153,14 +160,20 @@ class _Parser:
 
     def _iri(self, tok: _Token) -> Iri:
         if tok.kind == "iri":
-            return Iri(tok.value)
-        m = _PNAME.match(tok.value)
-        if not m:
-            raise TurtleSyntaxError(f"bad prefixed name {tok.value!r}", tok.line, tok.col)
-        prefix = m.group(1) or ""
-        if prefix not in self.prefixes:
-            raise TurtleSyntaxError(f"unknown prefix {prefix!r}", tok.line, tok.col)
-        return Iri(self.prefixes[prefix] + (m.group(2) or ""))
+            iri = self._iris.get(tok.value)
+            if iri is None:
+                iri = self._iris[tok.value] = Iri(tok.value)
+            return iri
+        iri = self._pnames.get(tok.value)
+        if iri is None:
+            m = _PNAME.match(tok.value)
+            if not m:
+                raise TurtleSyntaxError(f"bad prefixed name {tok.value!r}", tok.line, tok.col)
+            prefix = m.group(1) or ""
+            if prefix not in self.prefixes:
+                raise TurtleSyntaxError(f"unknown prefix {prefix!r}", tok.line, tok.col)
+            iri = self._pnames[tok.value] = Iri(self.prefixes[prefix] + (m.group(2) or ""))
+        return iri
 
     def parse(self) -> Graph:
         while self.tokens[self.pos].kind != "end":
@@ -174,6 +187,7 @@ class _Parser:
                 iri = self._next("iri")
                 self._next(".")
                 self.prefixes[name.value[:-1]] = iri.value
+                self._pnames.clear()
             else:
                 # only a non-empty ``[ p o ]`` may lack predicates (W3C ``triples``)
                 alone = self.tokens[self.pos].kind == "[" and self.tokens[self.pos + 1].kind != "]"
@@ -202,7 +216,7 @@ class _Parser:
             return self._iri(tok)
         if role == "predicate":
             if tok.kind == "a":
-                return Iri(RDF_TYPE)
+                return _A
         elif tok.kind == "bnode":
             if tok.value not in self._labels:
                 self._labels[tok.value] = self._fresh_bnode()
@@ -255,13 +269,23 @@ def _escape(s: str) -> str:
     return s.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
-def _shrink_iri(iri: Iri) -> str:
+def _shrink_iri(iri: str) -> str:
     for prefix, ns in NAMESPACE_TABLE.items():
-        if iri.value.startswith(ns):
-            local = iri.value[len(ns):]
+        if iri.startswith(ns):
+            local = iri[len(ns):]
             if local and _LOCAL_OK.match(local):
                 return f"{prefix}:{local}"
-    return f"<{iri.value}>"
+    return f"<{iri}>"
+
+
+class ShrunkIris(dict):
+    """IRI string -> its ``_shrink_iri`` form, each computed on first lookup.
+    A document makes its own unless given one; ``generate_site`` gives one
+    table to every document of a build."""
+
+    def __missing__(self, iri: str) -> str:
+        self[iri] = form = _shrink_iri(iri)
+        return form
 
 
 def _inlinable(g: Graph) -> set[BlankNode]:
@@ -309,9 +333,11 @@ def _inlinable(g: Graph) -> set[BlankNode]:
 PREFIXES = "\n".join(f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items())
 
 
-def turtle_blocks(g: Graph) -> list[str]:
+def turtle_blocks(g: Graph, shrink: Optional[ShrunkIris] = None) -> list[str]:
     """Each subject's block, in subject order, except the blank nodes written
     inline: the subject, its predicate-object list and the closing `` .``."""
+    if shrink is None:
+        shrink = ShrunkIris()
     names = display_names(g)
     inline = _inlinable(g)
     out: list[str] = []  # every nesting level appends here, so no text is copied twice
@@ -320,17 +346,17 @@ def turtle_blocks(g: Graph) -> list[str]:
         pad = "    " * indent
         for i, t in enumerate(triples):
             # ``a`` stands for rdf:type in predicate position only
-            p = "a" if t.predicate.value == RDF_TYPE else _shrink_iri(t.predicate)
+            p = "a" if t.predicate.value == RDF_TYPE else shrink[t.predicate.value]
             out.append(f"{' ;' if i else ''}\n{pad}{p} ")
             obj = t.object
             if isinstance(obj, Iri):
-                out.append(_shrink_iri(obj))
+                out.append(shrink[obj.value])
             elif isinstance(obj, Literal):
                 out.append(f'"{_escape(obj.lexical)}"')
                 if obj.lang:
                     out.append(f"@{obj.lang}")
                 elif obj.datatype:
-                    out.append(f"^^{_shrink_iri(obj.datatype)}")
+                    out.append(f"^^{shrink[obj.datatype.value]}")
             elif obj not in inline:
                 out.append(f"_:{names[obj]}")
             elif nested := g.triples_about(obj):
@@ -342,11 +368,11 @@ def turtle_blocks(g: Graph) -> list[str]:
 
     blocks = []
     for subject in [s for s in g.subjects() if s not in inline]:
-        out[:] = [_shrink_iri(subject) if isinstance(subject, Iri) else f"_:{names[subject]}"]
+        out[:] = [shrink[subject.value] if isinstance(subject, Iri) else f"_:{names[subject]}"]
         predicates(g.triples_about(subject), 1)
         blocks.append("".join(out) + " .")
     return blocks
 
 
-def serialize_turtle(g: Graph) -> str:
-    return "\n\n".join([PREFIXES, *turtle_blocks(g)]) + "\n"
+def serialize_turtle(g: Graph, shrink: Optional[ShrunkIris] = None) -> str:
+    return "\n\n".join([PREFIXES, *turtle_blocks(g, shrink)]) + "\n"

@@ -6,7 +6,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal
+from .model import BlankNode, Graph, Iri, Literal, Term
 from .namespaces import CC, DC11, DCTERMS, EDM, ODRL_ALIASES, RDF_TYPE, SKOS
 from .uris import (
     DEFAULT_CONFIG,
@@ -106,9 +106,22 @@ class ValidationReport:
         return not self.errors
 
 
-def _lang_map(g: Graph, subject, predicate: Iri, report, rule, name, label) -> dict[str, str]:
+# a subject's objects by predicate string
+Props = dict[str, list[Term]]
+
+
+def _by_predicate(g: Graph, subject) -> Props:
+    """The objects of ``subject``'s triples by predicate string, each list in
+    ``Graph.objects`` order: one scan of the subject's triples."""
+    out: Props = {}
+    for t in g.triples_about(subject):
+        out.setdefault(t.predicate.value, []).append(t.object)
+    return out
+
+
+def _lang_map(props: Props, predicate: Iri, report, rule, name, label) -> dict[str, str]:
     out: dict[str, str] = {}
-    for obj in g.objects(subject, predicate):
+    for obj in props.get(predicate.value, ()):
         if not isinstance(obj, Literal):
             report.error(rule, name, f"{label} is not a literal")
             continue
@@ -121,8 +134,8 @@ def _lang_map(g: Graph, subject, predicate: Iri, report, rule, name, label) -> d
     return out
 
 
-def _single_plain(g: Graph, subject, predicate: Iri) -> Optional[str]:
-    values = [o for o in g.objects(subject, predicate) if isinstance(o, Literal)]
+def _single_plain(props: Props, predicate: Iri) -> Optional[str]:
+    values = [o for o in props.get(predicate.value, ()) if isinstance(o, Literal)]
     return values[0].lexical if values else None
 
 
@@ -134,33 +147,35 @@ def _parse_subject_uri(subject: Iri, g: Graph, cfg: NamespaceConfig) -> Statemen
     except UriError:
         segments = split_statement_path(subject.value, cfg)
         if len(segments) == 1:
-            version = _single_plain(g, subject, HAS_VERSION)
+            version = _single_plain(_by_predicate(g, subject), HAS_VERSION)
             if version:
                 return StatementUri(segments[0], version)
         raise
 
 
-def _extract_permissions(g: Graph, subject, report, name) -> tuple[PermissionSpec, ...]:
+def _extract_permissions(g: Graph, props: Props, report, name) -> tuple[PermissionSpec, ...]:
     perms = []
     for pred in PERMISSION_PREDS:
-        for node in g.objects(subject, pred):
+        for node in props.get(pred.value, ()):
             if not isinstance(node, BlankNode):
                 report.error("R8", name, "permission value is not a blank node")
                 continue
-            actions = [o for p in ACTION_PREDS for o in g.objects(node, p)]
+            node_props = _by_predicate(g, node)
+            actions = [o for p in ACTION_PREDS for o in node_props.get(p.value, ())]
             if len(actions) != 1 or not isinstance(actions[0], Iri):
                 report.error("R8", name, "permission needs exactly one IRI action")
                 continue
             constraints = []
             ok = True
             for cp in CONSTRAINT_PREDS:
-                for cnode in g.objects(node, cp):
+                for cnode in node_props.get(cp.value, ()):
                     if not isinstance(cnode, BlankNode):
                         report.error("R8", name, "constraint value is not a blank node")
                         ok = False
                         continue
-                    ops = [o for p in OPERATOR_PREDS for o in g.objects(cnode, p)]
-                    purposes = [o for p in PURPOSE_PREDS for o in g.objects(cnode, p)]
+                    cnode_props = _by_predicate(g, cnode)
+                    ops = [o for p in OPERATOR_PREDS for o in cnode_props.get(p.value, ())]
+                    purposes = [o for p in PURPOSE_PREDS for o in cnode_props.get(p.value, ())]
                     if (len(ops) != 1 or not isinstance(ops[0], Iri)
                             or len(purposes) != 1 or not isinstance(purposes[0], Iri)):
                         report.error(
@@ -187,7 +202,7 @@ def load_vocabulary(
     for t in g:
         if t.predicate.value == RDF_TYPE and t.object == CONCEPT_SCHEME_CLASS:
             scheme_uri = t.subject if isinstance(t.subject, Iri) else scheme_uri
-            for obj in g.objects(t.subject, TITLE):
+            for obj in _by_predicate(g, t.subject).get(TITLE.value, ()):
                 if isinstance(obj, Literal) and obj.lang:
                     title[obj.lang] = obj.lexical
 
@@ -205,39 +220,40 @@ def load_vocabulary(
     for subject in sorted(candidates, key=str):
         parsed = candidates[subject]
         name = parsed.name
-        types = g.objects(subject, Iri(RDF_TYPE))
+        props = _by_predicate(g, subject)
+        types = props.get(RDF_TYPE, ())
         if CC_LICENSE_CLASS in types:
             report.warn("R1", name, "typed cc:License; dcterms:RightsStatement expected")
         if RIGHTS_STATEMENT_CLASS not in types:
             report.error("R1", name, "missing dcterms:RightsStatement type")
 
-        pref_labels = _lang_map(g, subject, PREF_LABEL, report, "R2", name, "prefLabel")
+        pref_labels = _lang_map(props, PREF_LABEL, report, "R2", name, "prefLabel")
         if "en" not in pref_labels:
             report.error("R2", name, "no English prefLabel")
-        definitions = _lang_map(g, subject, DEFINITION, report, "R3", name, "definition")
+        definitions = _lang_map(props, DEFINITION, report, "R3", name, "definition")
         if "en" not in definitions:
             report.error("R3", name, "no English definition")
-        notes = _lang_map(g, subject, SCOPE_NOTE, report, "R2", name, "scope note")
+        notes = _lang_map(props, SCOPE_NOTE, report, "R2", name, "scope note")
 
         for predicate, rule, label in (
             (IDENTIFIER, "R4", "dc:identifier"), (HAS_VERSION, "R5", "dcterms:hasVersion"),
             (MODIFIED, "R6", "dcterms:modified"), (COVERAGE, "R10", "dcterms:coverage"),
         ):
-            if len(g.objects(subject, predicate)) > 1:
+            if len(props.get(predicate.value, ())) > 1:
                 report.error(rule, name, f"more than one {label}")
-        identifier = _single_plain(g, subject, IDENTIFIER) or ""
+        identifier = _single_plain(props, IDENTIFIER) or ""
         if identifier != parsed.name:
             report.error(
                 "R4", name,
                 f"dc:identifier {identifier!r} does not equal URI name {parsed.name!r}",
             )
-        version = _single_plain(g, subject, HAS_VERSION) or ""
+        version = _single_plain(props, HAS_VERSION) or ""
         if version != parsed.version:
             report.error(
                 "R5", name,
                 f"dcterms:hasVersion {version!r} does not equal URI version {parsed.version!r}",
             )
-        modified = _single_plain(g, subject, MODIFIED) or ""
+        modified = _single_plain(props, MODIFIED) or ""
         try:
             datetime.date.fromisoformat(modified)
         except ValueError:
@@ -245,7 +261,7 @@ def load_vocabulary(
 
         matches = []
         for rel in MATCH_RELATIONS:
-            for obj in g.objects(subject, Iri(SKOS + rel)):
+            for obj in props.get(SKOS + rel, ()):
                 if not isinstance(obj, Iri):
                     report.error("R7", name, f"skos:{rel} target is not an IRI")
                     continue
@@ -258,10 +274,10 @@ def load_vocabulary(
                 matches.append(MatchSpec(rel, obj))
         matches.sort(key=lambda m: (m.relation, m.target.value))
 
-        permissions = _extract_permissions(g, subject, report, name)
+        permissions = _extract_permissions(g, props, report, name)
 
         # jurisdiction is asserted at the data level, never read off the URI
-        jurisdiction = _single_plain(g, subject, COVERAGE)
+        jurisdiction = _single_plain(props, COVERAGE)
         if jurisdiction is not None and not JURISDICTION_RE.match(jurisdiction):
             report.error("R10", name, f"dcterms:coverage {jurisdiction!r} is not alpha-2")
             jurisdiction = None
@@ -275,7 +291,7 @@ def load_vocabulary(
             uri=parsed.without_validity(),
             pref_labels=pref_labels,
             definitions=definitions,
-            creator=_single_plain(g, subject, CREATOR) or "",
+            creator=_single_plain(props, CREATOR) or "",
             modified=modified,
             matches=tuple(matches),
             permissions=permissions,

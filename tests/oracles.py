@@ -14,17 +14,23 @@ package builds, kept apart from the package because no command needs them.
   text itself: the same node objects, encoded by ``json.dumps``.
 - ``old_reader`` puts back the read path as it was before the string
   alternative of the token pattern was unrolled (``OLD_TOKEN``, whose other
-  alternatives are ``_TOKEN``'s) and before ``Graph.objects`` compared
-  predicates by string; ``old_load_vocabulary`` also finds the ConceptScheme
-  by the old loop over every triple, sorted here rather than by ``Graph``.
+  alternatives are ``_TOKEN``'s), before ``Graph.objects`` compared
+  predicates by string and before ``load_vocabulary`` grouped a subject's
+  triples by predicate in place of one ``Graph.objects`` call per
+  predicate; ``old_load_vocabulary`` also finds the ConceptScheme by the old
+  loop over every triple, sorted here rather than by ``Graph``.
 - ``old_negotiate`` is ``negotiate`` as it was before each snapshot memoized
   what it resolved: every call parses the URI and the headers.
+- ``render_statement_html`` and ``render_overview_html`` are the page
+  writers as they were before ``generate_site`` escaped a statement's
+  language-independent markup once for all of its pages.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import html as html_mod
 import itertools
 import json
 import re
@@ -34,7 +40,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional
 from unittest import mock
 
-from rightsvocab import load_vocabulary, turtle
+from rightsvocab import load_vocabulary, turtle, vocab
 from rightsvocab.jsonld import _compact, _node_id
 from rightsvocab.model import (
     BlankNode, Graph, Iri, Literal, SubjectTerm, Term, Triple, display_names, term_sort_key,
@@ -46,9 +52,10 @@ from rightsvocab.server import (
     parse_accept_language, select_language, select_media_type,
 )
 from rightsvocab.site import statement_dir
-from rightsvocab.uris import DEFAULT_CONFIG, NamespaceConfig
+from rightsvocab.uris import DEFAULT_CONFIG, NamespaceConfig, build_statement_uri
 from rightsvocab.vocab import (
-    CONCEPT_SCHEME_CLASS, TITLE, ValidationReport, Vocabulary, lookup_statement,
+    CONCEPT_SCHEME_CLASS, TITLE, StatementRecord, ValidationReport, Vocabulary,
+    lookup_statement,
 )
 
 
@@ -355,12 +362,21 @@ def _objects_by_term(self, subject: SubjectTerm, predicate: Iri) -> list[Term]:
     )
 
 
+def _by_predicate_via_objects(g: Graph, subject: SubjectTerm) -> dict[str, list[Term]]:
+    """``vocab._by_predicate`` as one ``Graph.objects`` call per predicate of
+    ``subject``, the way ``load_vocabulary`` read a subject before."""
+    predicates = dict.fromkeys(t.predicate for t in g.triples_about(subject))
+    return {p.value: g.objects(subject, p) for p in predicates}
+
+
 @contextlib.contextmanager
 def old_reader():
-    """``_tokenize`` with ``OLD_TOKEN`` and ``Graph.objects`` comparing
-    predicates as terms, until the block ends."""
+    """``_tokenize`` with ``OLD_TOKEN``, ``Graph.objects`` comparing
+    predicates as terms, and ``load_vocabulary`` reading each predicate of a
+    subject through it, until the block ends."""
     with mock.patch.object(turtle, "_TOKEN", OLD_TOKEN), \
-            mock.patch.object(Graph, "objects", _objects_by_term):
+            mock.patch.object(Graph, "objects", _objects_by_term), \
+            mock.patch.object(vocab, "_by_predicate", _by_predicate_via_objects):
         yield
 
 
@@ -417,3 +433,97 @@ def old_negotiate(rel: str, headers: Mapping[str, str], snapshot: Snapshot) -> R
         ranges = parse_accept_language(_field(headers, "accept-language"))
         doc = f"index.{select_language(langs, ranges)}.html"
     return 303, (("Vary", VARY), ("Location", f"/{base}{doc}"), ("Content-Length", "0")), b""
+
+
+# --- the HTML pages before a statement's parts were shared by its pages ----
+
+_PREFIX_ATTR = " ".join(f"{p}: {ns}" for p, ns in NAMESPACE_TABLE.items())
+
+
+def _esc(s: str) -> str:
+    return html_mod.escape(s, quote=True)
+
+
+def _head(lang: str, title: str) -> list[str]:
+    return ["<!DOCTYPE html>", f'<html lang="{_esc(lang)}" prefix="{_esc(_PREFIX_ATTR)}">',
+            "<head>", '<meta charset="utf-8">', f"<title>{_esc(title)}</title>", "</head>", "<body>"]
+
+
+def _iri_link(prop: str, iri: Iri) -> str:
+    v = _esc(iri.value)
+    return f'<a property="{prop}" resource="{v}" href="{v}">{v}</a>'
+
+
+def render_statement_html(
+    r: StatementRecord, lang: str, cfg: NamespaceConfig = DEFAULT_CONFIG
+) -> str:
+    if lang not in r.pref_labels:
+        raise KeyError(f"no {lang!r} translation for {r.uri.name}")
+    uri = build_statement_uri(r.uri, cfg)
+    label = r.pref_labels[lang]
+    lines = _head(lang, label) + [
+        f'<article about="{_esc(uri)}" typeof="dcterms:RightsStatement">',
+        f'<h1 property="skos:prefLabel" lang="{_esc(lang)}">{_esc(label)}</h1>',
+        f'<p property="skos:definition" lang="{_esc(lang)}">{_esc(r.definitions[lang])}</p>'
+        if lang in r.definitions else "",
+    ]
+    if lang in r.notes:
+        lines.append(
+            f'<p property="skos:scopeNote" lang="{_esc(lang)}">{_esc(r.notes[lang])}</p>'
+        )
+    lines.append("<dl>")
+    # None marks a row left out; an empty creator or jurisdiction is unset
+    for term, prop, value in (
+        ("Identifier", "dc:identifier", r.uri.name),
+        ("Version", "dcterms:hasVersion", r.uri.version),
+        ("Creator", "dc:creator", r.creator or None),
+        ("Modified", "dcterms:modified", r.modified),
+        ("Jurisdiction", "dcterms:coverage", r.jurisdiction or None),
+    ):
+        if value is not None:
+            lines.append(f'<dt>{term}</dt><dd property="{prop}" lang="">{_esc(value)}</dd>')
+    if not r.jurisdiction:
+        lines.append("<dt>Jurisdiction</dt><dd>worldwide</dd>")
+    lines.append("</dl>")
+    if r.matches:
+        lines.append("<section><h2>Related rights expressions</h2><ul>")
+        for m in r.matches:
+            lines.append(f'<li>{_iri_link("skos:" + m.relation, m.target)}</li>')
+        lines.append("</ul></section>")
+    for perm in r.permissions:
+        lines.append('<div property="odrl:permission" typeof="">')
+        lines.append(f'<span>Permitted action: {_iri_link("odrl:action", perm.action)}</span>')
+        for c in perm.constraints:
+            lines.append('<div property="odrl:constraint" typeof="">')
+            lines.append(f'<span>{_iri_link("odrl:operator", c.operator)}</span>')
+            lines.append(f'<span>{_iri_link("odrl:purpose", c.purpose)}</span>')
+            lines.append("</div>")
+        lines.append("</div>")
+    others = [l for l in r.languages() if l != lang]
+    lines.append("<section><h2>Other translations</h2><ul>")
+    for other in others:
+        lines.append(f'<li><a href="index.{_esc(other)}.html">{_esc(other)}</a></li>')
+    lines.append("</ul></section>")
+    lines.extend(["</article>", "</body>", "</html>"])
+    return "\n".join(line for line in lines if line) + "\n"
+
+
+def render_overview_html(v: Vocabulary, lang: str) -> str:
+    title_lang = lang if lang in v.title else "en"
+    title = v.title.get(title_lang, "Rights statements")
+    lines = _head(lang, title)
+    lines.append(f'<main about="{_esc(v.scheme_uri.value)}" typeof="skos:ConceptScheme">')
+    if title_lang in v.title:
+        lines.append(
+            f'<h1 property="dcterms:title" lang="{_esc(title_lang)}">{_esc(title)}</h1>'
+        )
+    else:
+        lines.append(f"<h1>{_esc(title)}</h1>")
+    lines.append("<ul>")
+    for key in sorted(v.statements, key=lambda k: (v.statements[k].uri.name, k)):
+        r = v.statements[key]
+        label = r.pref_labels.get(lang, r.pref_labels.get("en", r.uri.name))
+        href = "/" + statement_dir(r)
+        lines.append(f'<li><a href="{_esc(href)}">{_esc(label)}</a> ({_esc(key)})</li>')
+    lines.extend(["</ul>", "</main>", "</body>", "</html>"])
+    return "\n".join(lines) + "\n"

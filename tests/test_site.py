@@ -1,8 +1,9 @@
 import dataclasses
 import json
+import os
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rightsvocab import (
@@ -26,11 +27,14 @@ from rightsvocab.site import (
     SiteManifest,
     record_to_graph,
     statement_dir,
+    statement_parts,
     vocabulary_to_graph,
     write_manifest,
 )
-from rightsvocab.vocab import ConstraintSpec, MatchSpec, PermissionSpec
+from rightsvocab.uris import NamespaceConfig
+from rightsvocab.vocab import MATCH_RELATIONS, ConstraintSpec, MatchSpec, PermissionSpec
 
+import oracles
 from conftest import fixture_text, jsonld_walk
 from oracles import extract_rdfa, graphs_isomorphic, restrict_to_language
 
@@ -230,6 +234,15 @@ def test_rewrite_with_shorter_content_leaves_no_stale_tail(tmp_path):
     assert (tmp_path / "rs" / "data.ttl").read_bytes() == b"short\n"
 
 
+def test_short_writes_are_continued(manifest, tmp_path, monkeypatch):
+    # os.write may take only part of its buffer; three bytes at a time here
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:3])))
+    write_manifest(manifest, tmp_path)
+    for path, entry in manifest.entries.items():
+        assert (tmp_path / path).read_bytes() == entry.content
+
+
 def test_rewrite_removes_what_the_manifest_dropped(tmp_path):
     site = SiteManifest()
     for path in ("rs/data.ttl", "rs/a/1.0/data.ttl", "rs/b/1.0/US/data.ttl"):
@@ -311,3 +324,68 @@ def test_value_key_orders_as_the_json_text(values):
 
     assert sorted(values, key=lambda v: _value_key(members(v))) == \
         sorted(values, key=lambda v: json.dumps(v, sort_keys=True))
+
+
+# --- the pages against the page writers before parts were shared ----------
+
+# text with every character HTML escapes, and a non-ASCII one
+_page_text = st.text(alphabet=st.sampled_from("ab &<>\"'é\n"), max_size=8)
+_page_iris = st.builds(lambda t: Iri("http://example.org/" + t),
+                       st.text(alphabet=st.sampled_from("a&\"'?="), max_size=5))
+_configs = st.sampled_from([NamespaceConfig(), NamespaceConfig("http://example.org/a&b'c")])
+
+
+@st.composite
+def _records(draw, name=st.sampled_from(["ic", "in-copyright", "pd"])):
+    """A record with 1-4 region and plain tags, some without a definition or
+    note, an empty or set creator and jurisdiction, 0-3 matches and
+    permissions with 0-3 constraints."""
+    langs = draw(st.lists(st.sampled_from(["en", "nl", "pt-BR", "pt", "zh-TW", "fr"]),
+                          min_size=1, max_size=4, unique=True))
+    return StatementRecord(
+        uri=StatementUri(draw(name), draw(st.sampled_from(["1.0", "2.0.1"])),
+                         draw(st.sampled_from([None, "US"]))),
+        pref_labels={lang: draw(_page_text) for lang in langs},
+        definitions={lang: draw(_page_text) for lang in langs if draw(st.booleans())},
+        notes={lang: draw(_page_text) for lang in langs if draw(st.booleans())},
+        creator=draw(st.just("") | _page_text),
+        modified=draw(_page_text),
+        matches=tuple(draw(st.lists(
+            st.builds(MatchSpec, st.sampled_from(MATCH_RELATIONS), _page_iris), max_size=3))),
+        permissions=tuple(draw(st.lists(st.builds(
+            PermissionSpec, _page_iris,
+            st.lists(st.builds(ConstraintSpec, _page_iris, _page_iris), max_size=3).map(tuple),
+        ), max_size=3))),
+        jurisdiction=draw(st.none() | st.just("") | _page_text),
+    )
+
+
+@given(_records(), _configs)
+def test_statement_pages_equal_the_old_writer(r, cfg):
+    parts = statement_parts(r, cfg)
+    for lang in r.languages():
+        old = oracles.render_statement_html(r, lang, cfg)
+        assert render_statement_html(r, lang, cfg) == old
+        assert render_statement_html(r, lang, cfg, parts) == old
+
+
+@settings(deadline=None)
+@given(st.lists(_records(st.sampled_from(["aa", "b-b", "cc"])), max_size=3),
+       st.dictionaries(st.sampled_from(["en", "nl", "pt-BR"]), _page_text, max_size=2),
+       _page_iris, _configs)
+def test_generated_pages_equal_the_old_writer(records, title, scheme, cfg):
+    # keys with characters HTML escapes; "de" is a language no page has
+    statements = {f"{r.uri.name}&<{r.uri.version}>": r for r in records}
+    v = Vocabulary(scheme, title, statements)
+    expected = {}
+    for r in statements.values():
+        for lang in r.languages():
+            expected[statement_dir(r) + f"index.{lang}.html"] = \
+                oracles.render_statement_html(r, lang, cfg)
+    langs = {"en"} | set(title) | {lang for r in statements.values() for lang in r.languages()}
+    for lang in langs:
+        expected[f"rs/index.{lang}.html"] = oracles.render_overview_html(v, lang)
+    assert render_overview_html(v, "de") == oracles.render_overview_html(v, "de")
+    pages = {path: e.content.decode() for path, e in generate_site(v, cfg).entries.items()
+             if path.endswith(".html")}
+    assert pages == expected

@@ -74,6 +74,18 @@ def test_prefixed_name_before_the_closing_dot(text, triple):
     ])
 
 
+def test_redeclared_prefix_resolves_to_its_new_namespace():
+    # the reader resolves each prefixed name once per parse, until an @prefix
+    g = parse_turtle(
+        '@prefix e: <http://a.org/> . e:x e:p "1" . '
+        '@prefix e: <http://b.org/> . e:x e:p "2" .'
+    )
+    assert g == Graph([
+        Triple(Iri("http://a.org/x"), Iri("http://a.org/p"), Literal("1")),
+        Triple(Iri("http://b.org/x"), Iri("http://b.org/p"), Literal("2")),
+    ])
+
+
 def test_object_list_and_predicate_list():
     g = parse_turtle(
         f'<{EX}s> <{EX}p> "a"@en , "b"@nl ; <{EX}q> <{EX}o> .'
