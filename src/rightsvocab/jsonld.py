@@ -53,75 +53,61 @@ def _value_key(v) -> object:
 def _value_text(v) -> str:
     if isinstance(v, str):
         return _str(v)
-    return "{\n          " + ",\n          ".join(f"{_str(k)}: {_str(x)}" for k, x in v) + "\n        }"
+    return "{\n          " + ",\n          ".join([f"{_str(k)}: {_str(x)}" for k, x in v]) + "\n        }"
 
 
 _CONTEXT = ",\n".join(f"    {_str(p)}: {_str(ns)}" for p, ns in sorted(NAMESPACE_TABLE.items()))
+_HEAD, _TAIL = '{\n  "@context": {\n' + _CONTEXT + '\n  },\n  "@graph": [', "\n  ]\n}\n"
+_HEAD_BYTES, _TAIL_BYTES = (_HEAD + "\n").encode(), _TAIL.encode()
 
 
-def _node_texts(
-    triples: list[Triple], compact: Optional[CompactIris], keep: Optional[dict[str, str]]
-) -> dict[str, str]:
-    """Each node's text in the ``@graph`` array, by ``@id``.  ``keep``, if
-    given, also receives the text of each node that neither is a blank node
-    nor refers to one: that text is the same in any document."""
+def key_text(key: str, values: list) -> str:
+    """A node's ``key`` and its values, as they follow its ``@id``.  The
+    values are strings, or value objects as ``_members`` gives them, in
+    ``_value_key`` order."""
+    return f",\n      {_str(key)}: [\n        " + ",\n        ".join(map(_value_text, values)) + "\n      ]"
+
+
+def node_text(node_id: str, keys: dict[str, str]) -> str:
+    """A node's text in the ``@graph`` array; ``keys`` maps every key but
+    ``@id`` to its ``key_text``."""
+    # every other key is "@type" or an IRI, which starts with a letter, so "@id" sorts first
+    return '    {\n      "@id": ' + _str(node_id) + "".join([keys[k] for k in sorted(keys)]) + "\n    }"
+
+
+def graph_nodes(triples: list[Triple], compact: Optional[CompactIris] = None) -> dict[str, str]:
+    """Each node's text in the ``@graph`` array, by ``@id``."""
     if compact is None:
         compact = CompactIris()
     names = display_names(triples)
     nodes: dict[str, dict] = {}
-    blank: set[str] = set()  # nodes whose text depends on the blank-node names
     for t in triples:
-        node_id = _node_id(t.subject, names)
-        node = nodes.setdefault(node_id, {})
+        node = nodes.setdefault(_node_id(t.subject, names), {})
         obj = t.object
         if t.predicate.value == RDF_TYPE and isinstance(obj, Iri):
             node.setdefault("@type", []).append(compact[obj.value])
-            continue
-        if isinstance(obj, BlankNode):
-            blank.add(node_id)
-        node.setdefault(compact[t.predicate.value], []).append(_members(obj, names, compact))
-    texts = {}
-    for node_id, node in nodes.items():
-        out = ['    {\n      "@id": ' + _str(node_id)]
-        # every other key is "@type" or an IRI, which starts with a letter, so "@id" sorts first
-        for key, values in sorted(node.items()):
-            if len(values) > 1:
-                values.sort(key=_value_key)
-            out.append(f",\n      {_str(key)}: [\n        " + ",\n        ".join(map(_value_text, values)) + "\n      ]")
-        out.append("\n    }")
-        texts[node_id] = text = "".join(out)
-        # an IRI has a scheme, so only a blank node's id starts with "_:"
-        if keep is not None and node_id not in blank and not node_id.startswith("_:"):
-            keep[node_id] = text
-    return texts
+        else:
+            node.setdefault(compact[t.predicate.value], []).append(_members(obj, names, compact))
+    return {node_id: node_text(node_id, {key: key_text(key, sorted(values, key=_value_key))
+                                         for key, values in node.items()})
+            for node_id, node in nodes.items()}
 
 
-def _document(texts: dict[str, str]) -> str:
-    head = '{\n  "@context": {\n' + _CONTEXT + '\n  },\n  "@graph": ['
+def encoded_document(texts: dict[str, bytes]) -> bytes:
+    """The UTF-8 document whose ``@graph`` holds the UTF-8 node texts
+    ``texts``, by ``@id``, which are not empty: a document spliced from
+    nodes encoded once."""
+    return _HEAD_BYTES + b",\n".join([texts[k] for k in sorted(texts)]) + _TAIL_BYTES
+
+
+def jsonld_document(triples: list[Triple], compact: Optional[CompactIris] = None) -> str:
+    """The document of ``triples``, given in sorted triple order."""
+    texts = graph_nodes(triples, compact)
     if not texts:
-        return head + "]\n}\n"
-    return head + "\n" + ",\n".join([texts[k] for k in sorted(texts)]) + "\n  ]\n}\n"
+        return _HEAD + "]\n}\n"
+    return _HEAD + "\n" + ",\n".join([texts[k] for k in sorted(texts)]) + _TAIL
 
 
-def jsonld_document(
-    triples: list[Triple],
-    reuse: Optional[dict[str, str]] = None,
-    compact: Optional[CompactIris] = None,
-) -> str:
-    """The document of ``triples``, given in sorted triple order, and of the
-    nodes whose finished text ``reuse`` gives by ``@id``.  Those nodes hold
-    no blank node, so leaving their triples out names every blank node the
-    same."""
-    texts = _node_texts(triples, compact, None)
-    if reuse:
-        texts.update(reuse)
-    return _document(texts)
-
-
-def serialize_jsonld(
-    g: Graph, keep: Optional[dict[str, str]] = None, compact: Optional[CompactIris] = None
-) -> str:
-    """The document of ``g``; ``keep``, if given, receives the text of each
-    node that neither is a blank node nor refers to one, for a later
-    ``jsonld_document`` to reuse."""
-    return _document(_node_texts(list(g), compact, keep))
+def serialize_jsonld(g: Graph, compact: Optional[CompactIris] = None) -> str:
+    """The document of ``g``."""
+    return jsonld_document(list(g), compact)

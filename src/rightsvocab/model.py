@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 _IRI_FORBIDDEN = re.compile(r"[\s<>]")
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
-_LANG = re.compile(r"^[a-z]{2,3}(-[A-Z]{2})?$")
+_LANG = re.compile(r"[a-z]{2,3}(-[A-Z]{2})?")  # used with fullmatch: "$" matches before a final "\n"
 
 
 @dataclass(frozen=True, order=True)
@@ -57,9 +57,9 @@ class Literal:
         if self.lang is not None and self.datatype is not None:
             raise ValueError("literal cannot carry both a language tag and a datatype")
         # a tag the pattern takes as it is is already normalized
-        if self.lang is not None and not _LANG.match(self.lang):
+        if self.lang is not None and not _LANG.fullmatch(self.lang):
             norm = normalize_lang(self.lang)
-            if not _LANG.match(norm):
+            if not _LANG.fullmatch(norm):
                 raise ValueError(f"malformed language tag: {self.lang!r}")
             object.__setattr__(self, "lang", norm)
 

@@ -291,7 +291,7 @@ class _Connection:
 
     sock: socket.socket
     inbuf: bytearray = field(default_factory=bytearray)
-    out: bytes = b""
+    out: bytes | memoryview = b""  # a view of what a partial send left
     active: float = field(default_factory=time.monotonic)  # the last time bytes moved
     eof: bool = False  # no more input will be read
     closing: bool = False  # close once ``out`` is sent
@@ -501,7 +501,8 @@ class NegotiationServer:
         except OSError:  # the client reset or went away: drop the rest
             conn.out, conn.closing = b"", True
             return
-        conn.out = conn.out[sent:]
+        # the rest as a view: slicing bytes would copy it on every partial send
+        conn.out = memoryview(conn.out)[sent:] if sent < len(conn.out) else b""
         conn.active = time.monotonic()
 
     def _close(self, conn: _Connection) -> None:

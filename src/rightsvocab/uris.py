@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import Optional
 from urllib.parse import urlsplit
 
-NAME_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
-VERSION_RE = re.compile(r"^[0-9]+(\.[0-9]+)+$")
-JURISDICTION_RE = re.compile(r"^[A-Z]{2}$")
-DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+# whole-string patterns, used with ``fullmatch``: ``$`` would also match
+# before a final newline
+NAME_RE = re.compile(r"[a-z0-9]+(-[a-z0-9]+)*")
+VERSION_RE = re.compile(r"[0-9]+(\.[0-9]+)+")
+JURISDICTION_RE = re.compile(r"[A-Z]{2}")
+DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}")
 
 
 class UriError(ValueError):
@@ -40,7 +42,7 @@ class Validity:
     def __post_init__(self):
         if self.kind not in ("from", "until"):
             raise MalformedUriError("validity", f"unknown qualifier {self.kind!r}")
-        if not DATE_RE.match(self.date):
+        if not DATE_RE.fullmatch(self.date):
             raise MalformedUriError("validity", f"date {self.date!r} is not YYYY-MM-DD")
         try:
             datetime.date.fromisoformat(self.date)
@@ -56,11 +58,11 @@ class StatementUri:
     validity: Optional[Validity] = None
 
     def __post_init__(self):
-        if not NAME_RE.match(self.name):
+        if not NAME_RE.fullmatch(self.name):
             raise MalformedUriError("name", f"{self.name!r}")
-        if not VERSION_RE.match(self.version):
+        if not VERSION_RE.fullmatch(self.version):
             raise MalformedUriError("version", f"{self.version!r}")
-        if self.jurisdiction is not None and not JURISDICTION_RE.match(self.jurisdiction):
+        if self.jurisdiction is not None and not JURISDICTION_RE.fullmatch(self.jurisdiction):
             raise MalformedUriError("jurisdiction", f"{self.jurisdiction!r}")
 
     def without_validity(self) -> "StatementUri":
@@ -111,7 +113,7 @@ def parse_statement_uri(uri: str, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Stat
     name, version = segments[0], segments[1]
     rest = segments[2:]
     jurisdiction = None
-    if rest and JURISDICTION_RE.match(rest[0]):
+    if rest and JURISDICTION_RE.fullmatch(rest[0]):
         jurisdiction = rest[0]
         rest = rest[1:]
     validity = None

@@ -278,7 +278,7 @@ def load_vocabulary(
 
         # jurisdiction is asserted at the data level, never read off the URI
         jurisdiction = _single_plain(props, COVERAGE)
-        if jurisdiction is not None and not JURISDICTION_RE.match(jurisdiction):
+        if jurisdiction is not None and not JURISDICTION_RE.fullmatch(jurisdiction):
             report.error("R10", name, f"dcterms:coverage {jurisdiction!r} is not alpha-2")
             jurisdiction = None
         if parsed.jurisdiction and jurisdiction != parsed.jurisdiction:

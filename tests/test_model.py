@@ -103,3 +103,10 @@ def test_graph_rejects_attribute_assignment():
         g._by_subject = {}
     with pytest.raises(AttributeError):
         g.extra = 1
+
+
+@pytest.mark.parametrize("tag", ["en\n", "pt-BR\n", "EN\n"])
+def test_language_tag_with_a_final_newline_is_refused(tag):
+    # "$" matches before a final newline; the tag must match as a whole
+    with pytest.raises(ValueError, match="malformed language tag"):
+        Literal("x", lang=tag)

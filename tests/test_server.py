@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import http.client
 import re
@@ -19,6 +20,8 @@ from rightsvocab import (
     MediaRange,
     NegotiationServer,
     Snapshot,
+    Vocabulary,
+    build_statement_uri,
     generate_site,
     handle_request,
     load_vocabulary,
@@ -808,3 +811,42 @@ def test_a_fault_answering_one_request_closes_only_its_connection(snapshot, monk
     finally:
         served.shutdown()
     assert "ZeroDivisionError" in capsys.readouterr().err
+
+
+def test_partial_sends_deliver_the_exact_bytes(vocabulary):
+    # twelve renamed copies of each record: rs/data.jsonld takes many 16 KiB sends
+    statements = {}
+    for i in range(12):
+        for record in vocabulary.statements.values():
+            uri = dataclasses.replace(record.uri, name=f"{record.uri.name}-{i}")
+            statements[build_statement_uri(uri)] = dataclasses.replace(record, uri=uri)
+    big = Vocabulary(vocabulary.scheme_uri, vocabulary.title, statements)
+    manifest = generate_site(big)
+    body = manifest.entries["rs/data.jsonld"].content
+    assert len(body) > 4 * 16384
+    snap = Snapshot(manifest=manifest, vocabulary=big)
+
+    class SlowReader:
+        """A socket whose kernel buffer takes at most 16 KiB per send."""
+
+        def __init__(self):
+            self.received = bytearray()
+
+        def send(self, data):
+            n = min(len(data), 16384)
+            self.received += data[:n]
+            return n
+
+    srv = NegotiationServer(snap)
+    try:
+        conn = server._Connection(SlowReader())
+        srv._send(conn, handle_request("GET", "/rs/data.jsonld", {"Host": "x"}, snap), keep=True)
+        assert isinstance(conn.out, memoryview)  # the rest is a view, not a copy
+        while conn.out:
+            srv._flush(conn)
+    finally:
+        srv.shutdown()
+    head, _, sent = bytes(conn.sock.received).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert f"Content-Length: {len(body)}".encode() in head.split(b"\r\n")
+    assert sent == body

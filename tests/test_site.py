@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 
@@ -21,10 +22,12 @@ from rightsvocab import (
     serialize_jsonld,
     serialize_turtle,
 )
-from rightsvocab.jsonld import _value_key
+from rightsvocab.jsonld import _value_key, encoded_document
 from rightsvocab.namespaces import ODRL, SKOS
 from rightsvocab.site import (
     SiteManifest,
+    StatementDocuments,
+    blank_names,
     record_to_graph,
     statement_dir,
     statement_parts,
@@ -389,3 +392,50 @@ def test_generated_pages_equal_the_old_writer(records, title, scheme, cfg):
     pages = {path: e.content.decode() for path, e in generate_site(v, cfg).entries.items()
              if path.endswith(".html")}
     assert pages == expected
+
+
+# --- statement documents written from the record, against the graph writers
+
+@given(_records(), _configs, st.integers(0, 120))
+@example(StatementRecord(
+    uri=StatementUri("ic", "1.0"), pref_labels={"en": "x", "EN": "x", "nl": "x"},
+    definitions={"en": "f", "EN": "é"}, creator="", modified="",
+    matches=(MatchSpec("closeMatch", Iri("http://example.org/a")),) * 2,
+    permissions=(PermissionSpec(Iri(ODRL + "use"), tuple(
+        ConstraintSpec(Iri(ODRL + "eq"), Iri(f"http://example.org/{k}")) for k in range(3))),) * 2,
+), NamespaceConfig(), 7)
+def test_statement_documents_equal_the_graph_writers(r, cfg, start):
+    # a start of 0-120 makes labels cross p9/p10 and p99/p100, which sort as text.
+    # The example repeats a match and spells a tag twice: with one text the
+    # graph keeps one triple, and with two the JSON-LD orders them by their
+    # JSON text ("\u00e9" before "f"), the Turtle by the text itself
+    d = StatementDocuments(r, cfg, itertools.count(start))
+    g = record_to_graph(r, cfg, itertools.count(start))
+    assert d.turtle() == serialize_turtle(g).encode()
+    assert encoded_document(d.jsonld_nodes(blank_names([d]))) == serialize_jsonld(g).encode()
+
+
+@settings(deadline=None)
+@given(st.lists(_records(st.sampled_from(["aa", "b-b", "cc"])), max_size=4), _page_iris, _configs)
+def test_generated_documents_equal_the_graph_writers(records, scheme, cfg):
+    # keys in drawn order, so the labels' key order is not the statements' IRI order
+    by_uri = {build_statement_uri(r.uri, cfg): r for r in records}
+    v = Vocabulary(scheme, {"en": "Rights"}, {f"k{i}": r for i, r in enumerate(by_uri.values())})
+    entries = {path: e.content.decode() for path, e in generate_site(v, cfg).entries.items()}
+    counter = itertools.count()
+    for key in sorted(v.statements):
+        r = v.statements[key]
+        g = record_to_graph(r, cfg, counter)
+        assert entries[statement_dir(r) + "data.ttl"] == serialize_turtle(g)
+        assert entries[statement_dir(r) + "data.jsonld"] == serialize_jsonld(g)
+    full = vocabulary_to_graph(v, cfg)
+    assert entries["rs/data.ttl"] == serialize_turtle(full)
+    assert entries["rs/data.jsonld"] == serialize_jsonld(full)
+
+
+def test_two_keys_with_one_statement_uri_are_refused(vocabulary):
+    record = vocabulary.statements["http://rightsstatements.org/rs/ic-edu/1.0/"]
+    v = Vocabulary(vocabulary.scheme_uri, vocabulary.title, {"first": record, "second": record})
+    with pytest.raises(ValueError, match="keys 'first' and 'second' hold one statement URI "
+                                         "http://rightsstatements.org/rs/ic-edu/1.0/"):
+        generate_site(v)

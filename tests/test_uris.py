@@ -118,6 +118,15 @@ def test_invalid_statement_uri_fields():
         Validity("from", "2025-02-30")
 
 
+def test_fields_with_a_final_newline_are_refused():
+    # "$" matches before a final newline; each field must match as a whole
+    for fields in (("ic\n", "1.0"), ("ic", "1.0\n"), ("ic", "1.0", "US\n")):
+        with pytest.raises(MalformedUriError):
+            StatementUri(*fields)
+    with pytest.raises(MalformedUriError):
+        Validity("from", "2015-05-02\n")
+
+
 def test_custom_base():
     cfg = NamespaceConfig(base="http://vocab.example.net/")
     uri = build_statement_uri(StatementUri("ic", "1.0"), cfg)

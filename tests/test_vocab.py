@@ -142,6 +142,12 @@ def test_jurisdiction_comes_from_data_not_uri(vocabulary):
     assert any(rule == "R10" for rule, _, _ in report.errors)
 
 
+def test_coverage_with_a_final_newline_is_not_alpha_2():
+    text = fixture_text("vocabulary.ttl").replace('dcterms:coverage "US"', 'dcterms:coverage "US\\n"')
+    _, report = load_vocabulary(parse_turtle(text))
+    assert ("R10", "pd", "dcterms:coverage 'US\\n' is not alpha-2") in report.errors
+
+
 def test_duplicate_canonical_uri_is_r9(vocabulary_graph):
     # the version-less fixture subject collides with the explicit /1.0/ record
     combined = vocabulary_graph.union(
