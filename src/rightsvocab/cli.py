@@ -192,11 +192,15 @@ def _check_tree(site_dir: Path, manifest: SiteManifest) -> None:
 def run_serve(path: str, host: str, port: int, cfg: CliConfig) -> int:
     if not 0 <= port <= 65535:
         raise CliError(f"--port {port}: not in 0-65535", EXIT_ENV)
-    snapshot = build_snapshot(path, cfg)
-    try:
-        server = NegotiationServer(snapshot, host=host, port=port)
+    try:  # bound before the build, so that a port in use is reported at once
+        server = NegotiationServer(None, host=host, port=port)
     except OSError as exc:
         raise CliError(f"cannot bind {host}:{port}: {exc}", EXIT_ENV)
+    try:
+        server.snapshot = build_snapshot(path, cfg)
+    except BaseException:
+        server.shutdown()  # frees the port
+        raise
     bound_host, bound_port = server.address
     shown = f"[{bound_host}]" if ":" in bound_host else bound_host  # IPv6 goes in brackets
     print(f"serving on http://{shown}:{bound_port}/", file=sys.stderr)

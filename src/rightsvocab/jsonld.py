@@ -3,28 +3,19 @@
 
 from __future__ import annotations
 
+import functools
 from json.encoder import encode_basestring as _str, encode_basestring_ascii
-from typing import Optional
 
 from .model import BlankNode, Graph, Iri, Literal, Term, Triple, display_names
 from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
+@functools.lru_cache(maxsize=256)
 def _compact(iri: str) -> str:
     for prefix, ns in NAMESPACE_TABLE.items():
         if iri.startswith(ns) and len(iri) > len(ns):
             return f"{prefix}:{iri[len(ns):]}"
     return iri
-
-
-class CompactIris(dict):
-    """IRI string -> its ``_compact`` form, each computed on first lookup.
-    A document makes its own unless given one; ``generate_site`` gives one
-    table to every document of a build."""
-
-    def __missing__(self, iri: str) -> str:
-        self[iri] = form = _compact(iri)
-        return form
 
 
 def _node_id(term, names) -> str:
@@ -33,14 +24,14 @@ def _node_id(term, names) -> str:
     return term.value
 
 
-def _members(term: Term, names, compact: CompactIris) -> tuple:
+def _members(term: Term, names) -> tuple:
     """The value object of ``term`` as its ``(key, value)`` pairs, sorted by key."""
     if not isinstance(term, Literal):
         return (("@id", _node_id(term, names)),)
     value = ("@value", term.lexical)
     if term.lang:
         return ("@language", term.lang), value
-    return (("@type", compact[term.datatype.value]), value) if term.datatype else (value,)
+    return (("@type", _compact(term.datatype.value)), value) if term.datatype else (value,)
 
 
 def _value_key(v) -> object:
@@ -75,24 +66,6 @@ def node_text(node_id: str, keys: dict[str, str]) -> str:
     return '    {\n      "@id": ' + _str(node_id) + "".join([keys[k] for k in sorted(keys)]) + "\n    }"
 
 
-def graph_nodes(triples: list[Triple], compact: Optional[CompactIris] = None) -> dict[str, str]:
-    """Each node's text in the ``@graph`` array, by ``@id``."""
-    if compact is None:
-        compact = CompactIris()
-    names = display_names(triples)
-    nodes: dict[str, dict] = {}
-    for t in triples:
-        node = nodes.setdefault(_node_id(t.subject, names), {})
-        obj = t.object
-        if t.predicate.value == RDF_TYPE and isinstance(obj, Iri):
-            node.setdefault("@type", []).append(compact[obj.value])
-        else:
-            node.setdefault(compact[t.predicate.value], []).append(_members(obj, names, compact))
-    return {node_id: node_text(node_id, {key: key_text(key, sorted(values, key=_value_key))
-                                         for key, values in node.items()})
-            for node_id, node in nodes.items()}
-
-
 def encoded_document(texts: dict[str, bytes]) -> bytes:
     """The UTF-8 document whose ``@graph`` holds the UTF-8 node texts
     ``texts``, by ``@id``, which are not empty: a document spliced from
@@ -100,14 +73,25 @@ def encoded_document(texts: dict[str, bytes]) -> bytes:
     return _HEAD_BYTES + b",\n".join([texts[k] for k in sorted(texts)]) + _TAIL_BYTES
 
 
-def jsonld_document(triples: list[Triple], compact: Optional[CompactIris] = None) -> str:
+def jsonld_document(triples: list[Triple]) -> str:
     """The document of ``triples``, given in sorted triple order."""
-    texts = graph_nodes(triples, compact)
-    if not texts:
+    names = display_names(triples)
+    nodes: dict[str, dict] = {}
+    for t in triples:
+        node = nodes.setdefault(_node_id(t.subject, names), {})
+        obj = t.object
+        if t.predicate.value == RDF_TYPE and isinstance(obj, Iri):
+            node.setdefault("@type", []).append(_compact(obj.value))
+        else:
+            node.setdefault(_compact(t.predicate.value), []).append(_members(obj, names))
+    if not nodes:
         return _HEAD + "]\n}\n"
-    return _HEAD + "\n" + ",\n".join([texts[k] for k in sorted(texts)]) + _TAIL
+    texts = [node_text(node_id, {key: key_text(key, sorted(values, key=_value_key))
+                                 for key, values in nodes[node_id].items()})
+             for node_id in sorted(nodes)]
+    return _HEAD + "\n" + ",\n".join(texts) + _TAIL
 
 
-def serialize_jsonld(g: Graph, compact: Optional[CompactIris] = None) -> str:
+def serialize_jsonld(g: Graph) -> str:
     """The document of ``g``."""
-    return jsonld_document(list(g), compact)
+    return jsonld_document(list(g))

@@ -307,7 +307,8 @@ class NegotiationServer:
     every connection from a ``selectors`` loop, and each response goes to
     the kernel as one buffer."""
 
-    def __init__(self, snapshot: Snapshot, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, snapshot: Optional[Snapshot], host: str = "127.0.0.1", port: int = 0):
+        """Bind ``host:port``; ``snapshot`` may be set later, before ``serve_forever``."""
         self.snapshot = snapshot
         # IPv4 for "" and any host with an IPv4 address, in any resolver order: "::" takes no IPv4 client
         v4 = not host or socket.AF_INET in {info[0] for info in socket.getaddrinfo(host, port)}
@@ -324,12 +325,6 @@ class NegotiationServer:
     @property
     def address(self) -> tuple[str, int]:
         return self._listener.getsockname()[:2]
-
-    def start_background(self) -> threading.Thread:
-        self._stopped.clear()  # before the thread runs, so that shutdown waits for it
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
     def shutdown(self) -> None:
         """Stop the loop, even one a KeyboardInterrupt ended, and close every socket."""

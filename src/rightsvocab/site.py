@@ -16,10 +16,10 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional
 
-from .jsonld import CompactIris, _value_key, encoded_document, graph_nodes, key_text, node_text
+from .jsonld import _compact, _value_key, encoded_document, key_text, node_text
 from .model import BlankNode, Graph, Iri, Literal, Triple
 from .namespaces import NAMESPACE_TABLE, ODRL, RDF_TYPE, SKOS
-from .turtle import PREFIXES, ShrunkIris, _escape, turtle_blocks
+from .turtle import PREFIXES, _escape, _shrink_iri
 # the generic writers, named here as well: a build no longer calls them, but
 # perfbench/spans.py traces them under these names
 from .jsonld import serialize_jsonld  # noqa: F401
@@ -105,16 +105,11 @@ def record_to_graph(
     return Graph(triples)
 
 
-def _scheme_graph(v: Vocabulary) -> Graph:
-    return Graph([Triple(v.scheme_uri, _TYPE, CONCEPT_SCHEME_CLASS)] + [
-        Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()
-    ])
-
-
 def vocabulary_to_graph(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Graph:
     """The whole vocabulary as one graph, whose documents are ``rs/data.*``."""
     counter = itertools.count()
-    triples = list(_scheme_graph(v))
+    triples = [Triple(v.scheme_uri, _TYPE, CONCEPT_SCHEME_CLASS)]
+    triples += [Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()]
     for key in sorted(v.statements):
         triples.extend(record_to_graph(v.statements[key], cfg, counter))
     return Graph(triples)
@@ -138,8 +133,7 @@ class _Node:
     blank: dict[str, tuple["_Node", ...]]  # JSON-LD key -> blank nodes, in label order
 
 
-def _write_node(ref: str, rows: dict[str, list], indent: int,
-                shrink: ShrunkIris, compact: CompactIris) -> _Node:
+def _write_node(ref: str, rows: dict[str, list], indent: int) -> _Node:
     """``rows`` maps each predicate IRI to its objects, in ``term_sort_key``
     order and without repeats: ``Iri``s, ``(text, language or None)``
     literals, or the blank ``_Node``s written one level deeper."""
@@ -149,13 +143,13 @@ def _write_node(ref: str, rows: dict[str, list], indent: int,
     blank: dict[str, tuple[_Node, ...]] = {}
     for p in sorted(rows):  # Turtle's predicate order; the JSON-LD writer sorts its keys itself
         objs = rows[p]
-        head, key = ("a", "@type") if p == RDF_TYPE else (shrink[p], compact[p])
+        head, key = ("a", "@type") if p == RDF_TYPE else (_shrink_iri(p), _compact(p))
         if isinstance(objs[0], _Node):
             items += [f"{head} [{o.turtle}{pad}]" for o in objs]
             blank[key] = tuple(objs)
         elif isinstance(objs[0], Iri):
-            items += [f"{head} {shrink[o.value]}" for o in objs]
-            values = [compact[o.value] if p == RDF_TYPE else (("@id", o.value),) for o in objs]
+            items += [f"{head} {_shrink_iri(o.value)}" for o in objs]
+            values = [_compact(o.value) if p == RDF_TYPE else (("@id", o.value),) for o in objs]
             keys[key] = key_text(key, sorted(values, key=_value_key))
         else:
             items += [f'{head} "{_escape(text)}"' + (f"@{lang}" if lang else "") for text, lang in objs]
@@ -185,12 +179,8 @@ class StatementDocuments:
     ``serialize_jsonld`` give ``record_to_graph(r, cfg, counter)``, whose
     ``p{n}`` labels are drawn from ``counter`` in the same order."""
 
-    def __init__(self, r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG,
-                 counter=None, shrink: Optional[ShrunkIris] = None,
-                 compact: Optional[CompactIris] = None):
+    def __init__(self, r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG, counter=None):
         counter = itertools.count() if counter is None else counter
-        shrink = ShrunkIris() if shrink is None else shrink
-        compact = CompactIris() if compact is None else compact
         rows: dict[str, list] = {RDF_TYPE: [RIGHTS_STATEMENT_CLASS]}
         for pred, texts in ((PREF_LABEL, r.pref_labels), (DEFINITION, r.definitions),
                             (SCOPE_NOTE, r.notes)):
@@ -212,17 +202,16 @@ class StatementDocuments:
             label = f"p{next(counter)}"  # before its constraints', as record_to_graph draws them
             prow: dict[str, list] = {_ACTION.value: [perm.action]}
             constraints = [_write_node(f"p{next(counter)}", {_OPERATOR.value: [c.operator],
-                                                              _PURPOSE.value: [c.purpose]},
-                                       3, shrink, compact)
+                                                              _PURPOSE.value: [c.purpose]}, 3)
                            for c in perm.constraints]
             if constraints:
                 prow[_CONSTRAINT.value] = sorted(constraints, key=attrgetter("ref"))
-            perms.append(_write_node(label, prow, 2, shrink, compact))
+            perms.append(_write_node(label, prow, 2))
         if perms:
             rows[_PERMISSION.value] = sorted(perms, key=attrgetter("ref"))
         self.iri = Iri(build_statement_uri(r.uri, cfg)).value
-        self.root = _write_node(self.iri, rows, 1, shrink, compact)
-        self.block = (shrink[self.iri] + self.root.turtle + " .").encode()
+        self.root = _write_node(self.iri, rows, 1)
+        self.block = (_shrink_iri(self.iri) + self.root.turtle + " .").encode()
 
     @property
     def blank_nodes(self) -> bool:
@@ -433,22 +422,24 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
     Turtle blocks, and from JSON-LD nodes under the whole document's names.
 
     Work repeated across documents is done once per call: each statement's
-    language-independent markup, the overview's rows and each IRI's short
-    forms.  Two keys whose records have one statement URI raise
-    ``ValueError``.
+    language-independent markup and the overview's rows.  Two keys whose
+    records have one statement URI raise ``ValueError``.
     """
     manifest = SiteManifest()
     counter = itertools.count()
-    shrink, compact = ShrunkIris(), CompactIris()
     all_langs: set[str] = set(v.title) | {"en"}
-    scheme = _scheme_graph(v)
-    blocks = {v.scheme_uri.value: turtle_blocks(scheme, shrink)[0].encode()}
-    nodes = {i: text.encode() for i, text in graph_nodes(list(scheme), compact).items()}
+    scheme = v.scheme_uri.value
+    scheme_rows: dict[str, list] = {RDF_TYPE: [CONCEPT_SCHEME_CLASS]}
+    if v.title:  # a set, as for a statement's labels
+        scheme_rows[TITLE.value] = sorted({(text, _lang_tag(lang)) for lang, text in v.title.items()})
+    node = _write_node(scheme, scheme_rows, 1)
+    blocks = {scheme: (_shrink_iri(scheme) + node.turtle + " .").encode()}
+    nodes = {scheme: node_text(scheme, node.keys).encode()}
     key_of: dict[str, str] = {}  # statement IRI -> its key
     blank: dict[str, StatementDocuments] = {}  # the statements with blank nodes, by IRI
     for key in sorted(v.statements):
         r = v.statements[key]
-        d = StatementDocuments(r, cfg, counter, shrink, compact)
+        d = StatementDocuments(r, cfg, counter)
         if d.iri in key_of:
             raise ValueError(f"keys {key_of[d.iri]!r} and {key!r} hold one statement URI {d.iri}")
         key_of[d.iri] = key

@@ -11,6 +11,7 @@ input either parses to a ``Graph`` or raises ``TurtleSyntaxError``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -269,6 +270,7 @@ def _escape(s: str) -> str:
     return s.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
+@functools.lru_cache(maxsize=256)
 def _shrink_iri(iri: str) -> str:
     for prefix, ns in NAMESPACE_TABLE.items():
         if iri.startswith(ns):
@@ -276,16 +278,6 @@ def _shrink_iri(iri: str) -> str:
             if local and _LOCAL_OK.match(local):
                 return f"{prefix}:{local}"
     return f"<{iri}>"
-
-
-class ShrunkIris(dict):
-    """IRI string -> its ``_shrink_iri`` form, each computed on first lookup.
-    A document makes its own unless given one; ``generate_site`` gives one
-    table to every document of a build."""
-
-    def __missing__(self, iri: str) -> str:
-        self[iri] = form = _shrink_iri(iri)
-        return form
 
 
 def _inlinable(g: Graph) -> set[BlankNode]:
@@ -333,11 +325,10 @@ def _inlinable(g: Graph) -> set[BlankNode]:
 PREFIXES = "\n".join(f"@prefix {p}: <{ns}> ." for p, ns in NAMESPACE_TABLE.items())
 
 
-def turtle_blocks(g: Graph, shrink: Optional[ShrunkIris] = None) -> list[str]:
-    """Each subject's block, in subject order, except the blank nodes written
-    inline: the subject, its predicate-object list and the closing `` .``."""
-    if shrink is None:
-        shrink = ShrunkIris()
+def serialize_turtle(g: Graph) -> str:
+    """The prefixes, then each subject's block in subject order, but for the
+    blank nodes written inline: the subject, its predicate-object list and
+    the closing `` .``."""
     names = display_names(g)
     inline = _inlinable(g)
     out: list[str] = []  # every nesting level appends here, so no text is copied twice
@@ -346,17 +337,17 @@ def turtle_blocks(g: Graph, shrink: Optional[ShrunkIris] = None) -> list[str]:
         pad = "    " * indent
         for i, t in enumerate(triples):
             # ``a`` stands for rdf:type in predicate position only
-            p = "a" if t.predicate.value == RDF_TYPE else shrink[t.predicate.value]
+            p = "a" if t.predicate.value == RDF_TYPE else _shrink_iri(t.predicate.value)
             out.append(f"{' ;' if i else ''}\n{pad}{p} ")
             obj = t.object
             if isinstance(obj, Iri):
-                out.append(shrink[obj.value])
+                out.append(_shrink_iri(obj.value))
             elif isinstance(obj, Literal):
                 out.append(f'"{_escape(obj.lexical)}"')
                 if obj.lang:
                     out.append(f"@{obj.lang}")
                 elif obj.datatype:
-                    out.append(f"^^{shrink[obj.datatype.value]}")
+                    out.append(f"^^{_shrink_iri(obj.datatype.value)}")
             elif obj not in inline:
                 out.append(f"_:{names[obj]}")
             elif nested := g.triples_about(obj):
@@ -366,13 +357,9 @@ def turtle_blocks(g: Graph, shrink: Optional[ShrunkIris] = None) -> list[str]:
             else:
                 out.append("[]")
 
-    blocks = []
+    blocks = [PREFIXES]
     for subject in [s for s in g.subjects() if s not in inline]:
-        out[:] = [shrink[subject.value] if isinstance(subject, Iri) else f"_:{names[subject]}"]
+        out[:] = [_shrink_iri(subject.value) if isinstance(subject, Iri) else f"_:{names[subject]}"]
         predicates(g.triples_about(subject), 1)
         blocks.append("".join(out) + " .")
-    return blocks
-
-
-def serialize_turtle(g: Graph, shrink: Optional[ShrunkIris] = None) -> str:
-    return "\n\n".join([PREFIXES, *turtle_blocks(g, shrink)]) + "\n"
+    return "\n\n".join(blocks) + "\n"

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from rightsvocab import Graph, Iri, Literal, Triple, load_vocabulary, parse_turtle
 from rightsvocab.model import BlankNode
 from rightsvocab.namespaces import RDF_TYPE
+from rightsvocab.server import NegotiationServer
 from rightsvocab.site import generate_site
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,6 +77,14 @@ def vocabulary(vocabulary_graph):
 @pytest.fixture(scope="session")
 def manifest(vocabulary):
     return generate_site(vocabulary)
+
+
+def start_background(server: NegotiationServer) -> threading.Thread:
+    """Run ``server``'s loop on a daemon thread until ``server.shutdown()``."""
+    server._stopped.clear()  # before the thread runs, so that shutdown waits for it
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return thread
 
 
 def jsonld_walk(text: str) -> Graph:

@@ -25,7 +25,7 @@ from rightsvocab.cli import CliConfig, run_build
 from rightsvocab.site import record_to_graph, statement_dir
 from rightsvocab.vocab import Vocabulary
 
-from conftest import FIXTURES, fixture_text, jsonld_walk
+from conftest import FIXTURES, fixture_text, jsonld_walk, start_background
 from oracles import extract_rdfa, graphs_isomorphic, restrict_to_language
 
 
@@ -297,7 +297,7 @@ def test_criterion_8_end_to_end_over_socket(vocabulary, manifest):
     started = time.monotonic()
     snapshot = Snapshot(manifest=manifest, vocabulary=vocabulary)
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     try:
         host, port = server.address
         conn = http.client.HTTPConnection(host, port)

@@ -18,7 +18,7 @@ from rightsvocab import cli
 from rightsvocab.cli import CliConfig, build_snapshot, main
 from rightsvocab.server import NegotiationServer
 
-from conftest import FIXTURES, mutated_fixture
+from conftest import FIXTURES, mutated_fixture, start_background
 
 VOCAB = str(FIXTURES / "vocabulary.ttl")
 IC_EDU = str(FIXTURES / "ic_edu_statement.ttl")
@@ -186,6 +186,30 @@ def test_out_of_range_port_is_refused_before_the_build(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: --port {port}: not in 0-65535\n"
 
 
+def test_port_in_use_is_refused_before_the_build(monkeypatch, capsys):
+    def build_anyway(*args, **kwargs):
+        raise AssertionError("serve built the site for a port it cannot bind")
+
+    monkeypatch.setattr(cli, "generate_site", build_anyway)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", VOCAB, "--port", str(port)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: ") and err.count("\n") == 1
+
+
+def test_failed_build_frees_the_port(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise cli.CliError("the build failed", 2)
+
+    monkeypatch.setattr(cli, "generate_site", fail)
+    with socket.create_server(("127.0.0.1", 0)) as probe:
+        port = probe.getsockname()[1]
+    assert main(["serve", VOCAB, "--port", str(port)]) == 2
+    assert capsys.readouterr().err == "error: the build failed\n"
+    socket.create_server(("127.0.0.1", port)).close()  # serve's listener is closed
+
+
 def test_diff_identical_files(capsys):
     assert main(["diff", VOCAB, VOCAB]) == 0
 
@@ -239,7 +263,7 @@ def test_check_unsplittable_reference_is_external(tmp_path, capsys):
 def test_serve_from_vocab_snapshot_end_to_end():
     snapshot = build_snapshot(VOCAB, CliConfig())
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     try:
         host, port = server.address
         conn = http.client.HTTPConnection(host, port)
@@ -296,7 +320,7 @@ def test_serve_from_prebuilt_directory(tmp_path):
     snapshot = build_snapshot(str(out), CliConfig())
     assert len(snapshot.vocabulary.statements) == 5
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     try:
         host, port = server.address
         conn = http.client.HTTPConnection(host, port)
@@ -316,9 +340,10 @@ def _built_site(tmp_path) -> Path:
 
 def _serve_refuses(site: Path, capsys, monkeypatch) -> str:
     def serve_anyway(*args, **kwargs):
-        raise AssertionError(f"serve {site} started a server")
+        raise AssertionError(f"serve {site} started serving")
 
-    monkeypatch.setattr(cli, "NegotiationServer", serve_anyway)
+    # the listener is bound before the build; what must not start is its loop
+    monkeypatch.setattr(NegotiationServer, "serve_forever", serve_anyway)
     capsys.readouterr()
     assert main(["serve", str(site), "--port", "0"]) == 2
     return capsys.readouterr().err

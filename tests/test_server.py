@@ -33,7 +33,7 @@ from rightsvocab import server
 from rightsvocab.server import select_language, select_media_type
 from rightsvocab.site import statement_dir
 
-from conftest import fixture_text
+from conftest import fixture_text, start_background
 from oracles import old_negotiate
 
 
@@ -428,7 +428,7 @@ def test_memo_tables_stay_within_their_bounds_under_a_flood(vocabulary, manifest
 @pytest.fixture
 def live_address(snapshot):
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     yield server.address
     server.shutdown()
 
@@ -490,7 +490,7 @@ def test_live_server_closes_on_unknown_body_length(live_address, framing):
 def test_live_server_closes_stalled_requests(snapshot, monkeypatch):
     monkeypatch.setattr("rightsvocab.server.TIMEOUT_S", 0.5)
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     try:
         stalled = [
             b"GET /rs/ic/1.0/ HTTP/1.1\r\nHost: x\r\n",  # no blank line
@@ -560,7 +560,7 @@ def test_every_address_and_localhost_stay_ipv4_whatever_the_resolver_order(snaps
 
     monkeypatch.setattr(socket, "getaddrinfo", ipv6_first)
     served = NegotiationServer(snapshot, host=host)
-    served.start_background()
+    start_background(served)
     try:
         assert served.address[0] == bound
         assert _answers_303(("127.0.0.1", served.address[1]))
@@ -570,7 +570,7 @@ def test_every_address_and_localhost_stay_ipv4_whatever_the_resolver_order(snaps
 
 def test_live_server_round_trip(snapshot):
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     try:
         host, port = server.address
         conn = http.client.HTTPConnection(host, port)
@@ -592,7 +592,7 @@ def test_live_server_round_trip(snapshot):
 @pytest.fixture(scope="module")
 def shared_address(snapshot):
     server = NegotiationServer(snapshot)
-    server.start_background()
+    start_background(server)
     yield server.address
     server.shutdown()
 
@@ -757,7 +757,7 @@ def test_server_keeps_serving_when_accept_runs_out_of_descriptors(snapshot, monk
 
     monkeypatch.setattr(socket.socket, "accept", accept)
     served = NegotiationServer(snapshot)
-    thread = served.start_background()
+    thread = start_background(served)
     try:
         reply = _exchange(served.address, b"GET /rs/ic/1.0/data.ttl HTTP/1.1\r\nHost: x\r\n\r\n")
         assert thread.is_alive()
@@ -769,7 +769,7 @@ def test_server_keeps_serving_when_accept_runs_out_of_descriptors(snapshot, monk
 
 def test_client_reset_mid_response_leaves_other_connections_alone(snapshot):
     served = NegotiationServer(snapshot)
-    thread = served.start_background()
+    thread = start_background(served)
     try:
         # pipelined answers that fill the socket buffers, never read, then a reset
         reset = socket.create_connection(served.address, timeout=5)
@@ -800,7 +800,7 @@ def test_live_server_survives_an_overlong_content_length(live_address):
 
 def test_a_fault_answering_one_request_closes_only_its_connection(snapshot, monkeypatch, capsys):
     served = NegotiationServer(snapshot)
-    thread = served.start_background()
+    thread = start_background(served)
     try:
         with monkeypatch.context() as patch:
             patch.setattr(server, "handle_request", lambda *args: 1 / 0)

@@ -416,11 +416,17 @@ def test_statement_documents_equal_the_graph_writers(r, cfg, start):
 
 
 @settings(deadline=None)
-@given(st.lists(_records(st.sampled_from(["aa", "b-b", "cc"])), max_size=4), _page_iris, _configs)
-def test_generated_documents_equal_the_graph_writers(records, scheme, cfg):
-    # keys in drawn order, so the labels' key order is not the statements' IRI order
+@given(st.lists(_records(st.sampled_from(["aa", "b-b", "cc"])), max_size=4),
+       st.dictionaries(st.sampled_from(["en", "nl", "pt-BR"]), _page_text, max_size=3),
+       _page_iris, _configs)
+@example([], {"en": "x", "EN": "x"}, Iri("http://example.org/"), NamespaceConfig())
+@example([], {"en": "a", "EN": "b"}, Iri("http://example.org/"), NamespaceConfig())
+def test_generated_documents_equal_the_graph_writers(records, title, scheme, cfg):
+    # keys in drawn order, so the labels' key order is not the statements' IRI order.
+    # The examples spell the scheme's title tag twice: with one text the graph
+    # keeps one triple, and with two it keeps both
     by_uri = {build_statement_uri(r.uri, cfg): r for r in records}
-    v = Vocabulary(scheme, {"en": "Rights"}, {f"k{i}": r for i, r in enumerate(by_uri.values())})
+    v = Vocabulary(scheme, title, {f"k{i}": r for i, r in enumerate(by_uri.values())})
     entries = {path: e.content.decode() for path, e in generate_site(v, cfg).entries.items()}
     counter = itertools.count()
     for key in sorted(v.statements):
