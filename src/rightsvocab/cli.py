@@ -111,7 +111,6 @@ def run_build(path: str, out_dir: str, cfg: CliConfig) -> int:
 
 
 def run_diff(old_path: str, new_path: str, allow_editorial: bool, cfg: CliConfig) -> int:
-    reports = []
     vocabs = []
     for path in (old_path, new_path):
         vocab, report = _load(path, cfg)
@@ -154,7 +153,7 @@ def run_check(objects_path: str, vocab_path: str, cfg: CliConfig) -> int:
 
 def build_snapshot(path: str, cfg: CliConfig) -> Snapshot:
     """Generate the served tree from a vocabulary file or from a built
-    site's ``rs/data.ttl``; a site directory must hold exactly that tree."""
+    site's ``rs/data.ttl``; a site's ``rs/`` must hold exactly that tree."""
     site_dir = Path(path) if Path(path).is_dir() else None
     vocab_path = str(site_dir / "rs" / "data.ttl") if site_dir else path
     vocab, report = _load(vocab_path, cfg)
@@ -171,7 +170,7 @@ def _check_tree(site_dir: Path, manifest: SiteManifest) -> None:
     try:
         found = {
             p.relative_to(site_dir).as_posix(): p
-            for p in site_dir.rglob("*") if p.is_file()
+            for p in (site_dir / "rs").rglob("*") if p.is_file()  # build owns only rs/
         }
         drift = [f"missing {rel}" for rel in sorted(expected.keys() - found.keys())]
         drift += [f"extra {rel}" for rel in sorted(found.keys() - expected.keys())]

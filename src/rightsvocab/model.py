@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-_IRI_FORBIDDEN = re.compile(r"[\s<>]")
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\s]')  # IRIREF's (W3C Turtle §6.5), and whitespace
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _LANG = re.compile(r"[a-z]{2,3}(-[A-Z]{2})?")  # used with fullmatch: "$" matches before a final "\n"
 
@@ -20,7 +20,7 @@ class Iri:
         if not self.value:
             raise ValueError("IRI must be non-empty")
         if _IRI_FORBIDDEN.search(self.value):
-            raise ValueError(f"IRI contains whitespace or angle brackets: {self.value!r}")
+            raise ValueError(f"IRI contains whitespace or a character Turtle forbids: {self.value!r}")
         if not _SCHEME.match(self.value):
             raise ValueError(f"IRI has no scheme: {self.value!r}")
 

@@ -22,10 +22,13 @@ from .namespaces import NAMESPACE_TABLE, RDF_TYPE
 
 
 class TurtleSyntaxError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+    """``message`` placed at ``offset`` in ``text``; ``line`` and ``col``
+    count from 1 and are worked out here, as no valid input needs them."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"line {self.line}, col {self.col}: {message}")
 
 
 _PNAME = re.compile(r"^([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9][A-Za-z0-9_.-]*)?$")
@@ -85,25 +88,20 @@ MAX_NESTING = 100
 class _Token:
     kind: str
     value: str
-    line: int
-    col: int
+    offset: int  # where the token starts in the text
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, line_start = 0, 1, 0
-    while i < len(text):
-        col = i - line_start + 1
-        m = _TOKEN.match(text, i)
-        kind, value = m.lastgroup, m.group()
-        i = m.end()
+    # the matches cover the whole text, as every position starts some token
+    # kind: ``other`` takes any character but a newline, ``space`` the newline
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
         if kind == "space":
-            if "\n" in value:
-                line += value.count("\n")
-                line_start = text.rindex("\n", 0, i) + 1
             continue
+        value, offset = m.group(), m.start()
         if kind in _REJECTED:
-            raise TurtleSyntaxError(_REJECTED[kind].format(value), line, col)
+            raise TurtleSyntaxError(_REJECTED[kind].format(value), text, offset)
         if kind == "string":
             value = value[1:-1]
             if "\\" in value:
@@ -111,7 +109,7 @@ def _tokenize(text: str) -> list[_Token]:
                     value = _ESCAPE.sub(lambda e: _ESCAPES[e.group(1)], value)
                 except KeyError as exc:
                     raise TurtleSyntaxError(
-                        f"unsupported escape: \\{exc.args[0]}", line, col
+                        f"unsupported escape: \\{exc.args[0]}", text, offset
                     ) from None
         elif kind == "iri":
             value = value[1:-1]
@@ -123,18 +121,19 @@ def _tokenize(text: str) -> list[_Token]:
             value = value[2:]
         elif kind == "punct":
             kind = value
-        tokens.append(_Token(kind, value, line, col))
+        tokens.append(_Token(kind, value, offset))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, text: str):
+        self.text = text
+        tokens = _tokenize(text)
         # an ``end`` token where the last one starts: every read finds a token
-        line, col = (tokens[-1].line, tokens[-1].col) if tokens else (1, 1)
-        self.tokens = tokens + [_Token("end", "", line, col)]
+        self.tokens = tokens + [_Token("end", "", tokens[-1].offset if tokens else 0)]
         self.pos = 0
         self.prefixes: dict[str, str] = {}
-        self.triples: set[Triple] = set()
+        self.triples: list[Triple] = []  # ``Graph`` drops the duplicates
         self._fresh = itertools.count()
         # a plain dict: a default factory bound to ``self`` would form a cycle
         # that keeps each parse's tokens alive until the cyclic collector runs
@@ -145,14 +144,15 @@ class _Parser:
         self._pnames: dict[str, Iri] = {}
         self._depth = 0
 
+    def _error(self, tok: _Token, message: str) -> TurtleSyntaxError:
+        return TurtleSyntaxError(message, self.text, tok.offset)
+
     def _next(self, kind: Optional[str] = None) -> _Token:
         tok = self.tokens[self.pos]
         if tok.kind == "end":
-            raise TurtleSyntaxError("unexpected end of input", tok.line, tok.col)
+            raise self._error(tok, "unexpected end of input")
         if kind is not None and tok.kind != kind:
-            raise TurtleSyntaxError(
-                f"expected {kind}, got {tok.kind} {tok.value!r}", tok.line, tok.col
-            )
+            raise self._error(tok, f"expected {kind}, got {tok.kind} {tok.value!r}")
         self.pos += 1
         return tok
 
@@ -169,10 +169,10 @@ class _Parser:
         if iri is None:
             m = _PNAME.match(tok.value)
             if not m:
-                raise TurtleSyntaxError(f"bad prefixed name {tok.value!r}", tok.line, tok.col)
+                raise self._error(tok, f"bad prefixed name {tok.value!r}")
             prefix = m.group(1) or ""
             if prefix not in self.prefixes:
-                raise TurtleSyntaxError(f"unknown prefix {prefix!r}", tok.line, tok.col)
+                raise self._error(tok, f"unknown prefix {prefix!r}")
             iri = self._pnames[tok.value] = Iri(self.prefixes[prefix] + (m.group(2) or ""))
         return iri
 
@@ -182,9 +182,7 @@ class _Parser:
                 self.pos += 1
                 name = self._next("pname")
                 if not name.value.endswith(":"):
-                    raise TurtleSyntaxError(
-                        "expected prefix declaration", name.line, name.col
-                    )
+                    raise self._error(name, "expected prefix declaration")
                 iri = self._next("iri")
                 self._next(".")
                 self.prefixes[name.value[:-1]] = iri.value
@@ -204,7 +202,7 @@ class _Parser:
             predicate = self._term("predicate")
             sep = ","
             while sep == ",":  # a "," adds an object, a ";" the next predicate
-                self.triples.add(Triple(subject, predicate, self._term("object")))
+                self.triples.append(Triple(subject, predicate, self._term("object")))
                 sep = self.tokens[self.pos].kind
                 self.pos += sep in (",", ";")
             if sep != ";":
@@ -224,10 +222,7 @@ class _Parser:
             return self._labels[tok.value]
         elif tok.kind == "[":
             if self._depth == MAX_NESTING:
-                raise TurtleSyntaxError(
-                    f"blank node property lists nest deeper than {MAX_NESTING}",
-                    tok.line, tok.col,
-                )
+                raise self._error(tok, f"blank node property lists nest deeper than {MAX_NESTING}")
             self._depth += 1
             node = self._fresh_bnode()
             self._predicate_object_list(node)
@@ -243,14 +238,14 @@ class _Parser:
                 self.pos += 1
                 dt = self._next()
                 if dt.kind not in ("iri", "pname"):
-                    raise TurtleSyntaxError("expected datatype IRI", dt.line, dt.col)
+                    raise self._error(dt, "expected datatype IRI")
                 return Literal(tok.value, datatype=self._iri(dt))
             return Literal(tok.value)
-        raise TurtleSyntaxError(f"expected {role}, got {tok.value!r}", tok.line, tok.col)
+        raise self._error(tok, f"expected {role}, got {tok.value!r}")
 
 
 def parse_turtle(text: str) -> Graph:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         return parser.parse()
     except TurtleSyntaxError:
@@ -258,8 +253,7 @@ def parse_turtle(text: str) -> Graph:
     except ValueError as exc:
         # a term the model rejects, such as <foo> or "x"@zh-Hant, is built
         # from the token consumed last
-        tok = parser.tokens[parser.pos - 1]
-        raise TurtleSyntaxError(str(exc), tok.line, tok.col) from None
+        raise parser._error(parser.tokens[parser.pos - 1], str(exc)) from None
 
 
 # --- serialization -----------------------------------------------------

@@ -217,8 +217,7 @@ def load_vocabulary(
             continue
 
     statements: dict[str, StatementRecord] = {}
-    for subject in sorted(candidates, key=str):
-        parsed = candidates[subject]
+    for subject, parsed in candidates.items():  # in IRI order, as g.subjects() gives them
         name = parsed.name
         props = _by_predicate(g, subject)
         types = props.get(RDF_TYPE, ())

@@ -384,9 +384,16 @@ def token_outcome(text: str) -> list[tuple] | tuple:
     """``_tokenize(text)`` as ``(kind, value, line, col)`` tuples, or its
     error as ``(message, line, col)``."""
     try:
-        return [(t.kind, t.value, t.line, t.col) for t in turtle._tokenize(text)]
+        tokens = turtle._tokenize(text)
     except turtle.TurtleSyntaxError as exc:
         return (str(exc), exc.line, exc.col)
+    out, line, line_start, seen = [], 1, 0, 0
+    for t in tokens:  # in text order: only the newlines since the last token are counted
+        line += text.count("\n", seen, t.offset)
+        line_start = text.rfind("\n", seen, t.offset) + 1 or line_start
+        seen = t.offset
+        out.append((t.kind, t.value, line, t.offset - line_start + 1))
+    return out
 
 
 def old_token_outcome(text: str) -> list[tuple] | tuple:

@@ -298,9 +298,8 @@ def test_criterion_8_end_to_end_over_socket(vocabulary, manifest):
     snapshot = Snapshot(manifest=manifest, vocabulary=vocabulary)
     server = NegotiationServer(snapshot)
     start_background(server)
+    conn = http.client.HTTPConnection(*server.address)
     try:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port)
         cells = _matrix(vocabulary)
         for path, accept, lang, location in cells:
             conn.request("GET", "/" + path, headers=_headers(accept, lang))
@@ -315,5 +314,6 @@ def test_criterion_8_end_to_end_over_socket(vocabulary, manifest):
         assert resp.status == 200
         assert b"In Copyright - Educational Use Only" in resp.read()
     finally:
+        conn.close()
         server.shutdown()
     _passline(8, f"live HTTP replay of all {len(cells)} matrix cells", started)

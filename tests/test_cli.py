@@ -62,23 +62,36 @@ def _deeply_nested(depth: int) -> str:
 _REJECTED_TERMS = [
     ('"Rechtenverklaringen"@nl', '"Rechtenverklaringen"@zh-Hant', "@zh-Hant"),
     ("<http://rightsstatements.org/rs/ic/1.0/> a", "<foo> a", "<foo>"),
+    # W3C Turtle's IRIREF takes none of "{}|^`\ and no space or control character
+    ("skos:relatedMatch premiscopy:cpr .", 'skos:relatedMatch <http://example.org/a{b}"c> .',
+     '<http://example.org/a{b}"c>'),
     # the reported "[" is the 101st, followed by 299 more
     ("<http://rightsstatements.org/rs/> a", _deeply_nested(400),
      "[ " + "<http://e.org/p> [ " * 299 + "]"),
 ]
 
 
-def test_validate_rejected_terms_exit_2_with_line_and_column(tmp_path, capsys):
+def _rejected_terms_exit_2_with_line_and_column(tmp_path, capsys, command, *flags):
     for original, replacement, reported in _REJECTED_TERMS:
         text = Path(VOCAB).read_text().replace(original, replacement, 1)
+        assert text.count(replacement) == 1
         bad = tmp_path / "bad.ttl"
         bad.write_text(text)
         capsys.readouterr()
-        assert main(["validate", str(bad)]) == 2
+        assert main([command, str(bad), *flags]) == 2
         at = text.index(reported)
         line = text.count("\n", 0, at) + 1
         col = at - text.rfind("\n", 0, at)
         assert f"{bad}: line {line}, col {col}: " in capsys.readouterr().err
+
+
+def test_validate_rejected_terms_exit_2_with_line_and_column(tmp_path, capsys):
+    _rejected_terms_exit_2_with_line_and_column(tmp_path, capsys, "validate")
+
+
+def test_build_rejected_terms_exit_2_with_line_and_column(tmp_path, capsys):
+    _rejected_terms_exit_2_with_line_and_column(tmp_path, capsys, "build", "--out", str(tmp_path / "site"))
+    assert not (tmp_path / "site").exists()
 
 
 def test_validate_missing_file_is_exit_2():
@@ -159,8 +172,10 @@ def test_build_unwritable_out_dir_is_exit_2(tmp_path, capsys):
     ["--base", "foo", "validate", VOCAB],
     ["--base", "http://example.org/a b", "validate", VOCAB],
     ["--base", "http://[x", "validate", VOCAB],
+    ["--base", "http://example.org/{x}", "validate", VOCAB],
     ["serve", VOCAB, "--port", "99999"],
-], ids=["empty-base", "base-without-scheme", "base-with-space", "base-bad-ipv6", "port-out-of-range"])
+], ids=["empty-base", "base-without-scheme", "base-with-space", "base-bad-ipv6", "base-with-brace",
+        "port-out-of-range"])
 def test_odd_flags_exit_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -264,9 +279,8 @@ def test_serve_from_vocab_snapshot_end_to_end():
     snapshot = build_snapshot(VOCAB, CliConfig())
     server = NegotiationServer(snapshot)
     start_background(server)
+    conn = http.client.HTTPConnection(*server.address)
     try:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port)
         conn.request("GET", "/rs/ic-edu/1.0/", headers={"Accept": "text/turtle"})
         resp = conn.getresponse()
         resp.read()
@@ -279,6 +293,7 @@ def test_serve_from_vocab_snapshot_end_to_end():
         resp.read()
         assert resp.status == 404
     finally:
+        conn.close()
         server.shutdown()
 
 
@@ -321,14 +336,14 @@ def test_serve_from_prebuilt_directory(tmp_path):
     assert len(snapshot.vocabulary.statements) == 5
     server = NegotiationServer(snapshot)
     start_background(server)
+    conn = http.client.HTTPConnection(*server.address)
     try:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port)
         conn.request("GET", "/rs/pd/2.0/", headers={"Accept": "application/ld+json"})
         resp = conn.getresponse()
         resp.read()
         assert resp.getheader("Location") == "/rs/pd/2.0/data.jsonld"
     finally:
+        conn.close()
         server.shutdown()
 
 
@@ -370,14 +385,25 @@ def test_in_place_rebuild_removes_dropped_statement(tmp_path):
     assert build_snapshot(str(site), CliConfig()) == build_snapshot(smaller, CliConfig())
 
 
-def test_rebuild_keeps_files_outside_rs(tmp_path):
+def _rebuilt_beside_other_files(tmp_path) -> Path:
     site = _built_site(tmp_path)
     (site / "assets").mkdir()
     (site / "assets" / "style.css").write_text("body {}\n")
     (site / "README.txt").write_text("notes\n")
     assert main(["build", _without_pd_1(tmp_path), "--out", str(site)]) == 0
+    return site
+
+
+def test_rebuild_keeps_files_outside_rs(tmp_path):
+    site = _rebuilt_beside_other_files(tmp_path)
     assert (site / "assets" / "style.css").read_text() == "body {}\n"
     assert (site / "README.txt").read_text() == "notes\n"
+
+
+def test_serve_checks_only_the_tree_build_owns(tmp_path):
+    # files outside rs/ are neither written by build nor served
+    site = _rebuilt_beside_other_files(tmp_path)
+    assert build_snapshot(str(site), CliConfig()) == build_snapshot(_without_pd_1(tmp_path), CliConfig())
 
 
 def test_serve_refuses_file_planted_in_rs(tmp_path, capsys, monkeypatch):

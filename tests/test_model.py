@@ -110,3 +110,15 @@ def test_language_tag_with_a_final_newline_is_refused(tag):
     # "$" matches before a final newline; the tag must match as a whole
     with pytest.raises(ValueError, match="malformed language tag"):
         Literal("x", lang=tag)
+
+
+def test_iri_refuses_what_turtle_forbids_in_an_iri():
+    # IRIREF (W3C RDF 1.1 Turtle, 2014, §6.5) takes no U+0000-U+0020 and none of these
+    for c in ['"', "{", "}", "|", "^", "`", "\\", *map(chr, range(0x21))]:
+        with pytest.raises(ValueError, match="a character Turtle forbids"):
+            Iri(f"http://example.org/a{c}b")
+
+
+def test_iri_takes_the_other_characters_turtle_reads():
+    for c in "!#$%&'()*+,-./:;=?@[]~\x7fé😀":
+        assert Iri(f"http://example.org/a{c}b").value == f"http://example.org/a{c}b"

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import http.client
@@ -452,12 +453,12 @@ def test_live_server_answers_absolute_form_target(live_address):
 
 
 def test_live_server_any_other_method_is_405(live_address):
-    conn = http.client.HTTPConnection(*live_address)
-    for method in ("PATCH", "OPTIONS", "BREW"):
-        conn.request(method, "/rs/ic/1.0/")
-        resp = conn.getresponse()
-        resp.read()
-        assert (resp.status, resp.getheader("Allow")) == (405, "GET, HEAD")
+    with contextlib.closing(http.client.HTTPConnection(*live_address)) as conn:
+        for method in ("PATCH", "OPTIONS", "BREW"):
+            conn.request(method, "/rs/ic/1.0/")
+            resp = conn.getresponse()
+            resp.read()
+            assert (resp.status, resp.getheader("Allow")) == (405, "GET, HEAD")
 
 
 def test_live_server_discards_request_body(live_address):
@@ -571,9 +572,8 @@ def test_every_address_and_localhost_stay_ipv4_whatever_the_resolver_order(snaps
 def test_live_server_round_trip(snapshot):
     server = NegotiationServer(snapshot)
     start_background(server)
+    conn = http.client.HTTPConnection(*server.address)
     try:
-        host, port = server.address
-        conn = http.client.HTTPConnection(host, port)
         conn.request("GET", "/rs/ic-edu/1.0/", headers={"Accept": "text/turtle"})
         resp = conn.getresponse()
         resp.read()
@@ -586,6 +586,7 @@ def test_live_server_round_trip(snapshot):
         assert resp.getheader("Content-Type").startswith("text/turtle")
         assert b"In Copyright - Educational Use Only" in body
     finally:
+        conn.close()
         server.shutdown()
 
 

@@ -333,8 +333,8 @@ def test_value_key_orders_as_the_json_text(values):
 
 # text with every character HTML escapes, and a non-ASCII one
 _page_text = st.text(alphabet=st.sampled_from("ab &<>\"'é\n"), max_size=8)
-_page_iris = st.builds(lambda t: Iri("http://example.org/" + t),
-                       st.text(alphabet=st.sampled_from("a&\"'?="), max_size=5))
+_page_iris = st.builds(lambda t: Iri("http://example.org/" + t),  # an IRI takes no '"'
+                       st.text(alphabet=st.sampled_from("a&'?="), max_size=5))
 _configs = st.sampled_from([NamespaceConfig(), NamespaceConfig("http://example.org/a&b'c")])
 
 

@@ -13,10 +13,10 @@ from rightsvocab import (
     serialize_turtle,
 )
 from rightsvocab.namespaces import DCTERMS, RDF_TYPE, SKOS
-from rightsvocab.turtle import MAX_NESTING, _escape
+from rightsvocab.turtle import _TOKEN, MAX_NESTING, _escape
 
 from conftest import mutated_fixture
-from oracles import graphs_isomorphic, old_token_outcome, token_outcome
+from oracles import OLD_TOKEN, graphs_isomorphic, old_token_outcome, token_outcome
 
 EX = "http://example.org/"
 
@@ -376,6 +376,23 @@ def test_tokenize_equals_the_old_token_pattern(text):
 def test_megabyte_literal_tokenizes():
     (string,) = [t for t in token_outcome(_MEGABYTE_LITERAL) if t[0] == "string"]
     assert string == ("string", '"xxxxxxxx' * 100_000, 1, 9)
+
+
+# every ASCII character and a few others, each at the start of a line
+_EVERY_START = "\n".join(map(chr, range(128))) + "\né\n😀\n\u2028\n\x85"
+
+
+@given(_TOKEN_TEXT | st.text())
+@example(_EVERY_START)
+def test_token_matches_cover_the_text(text):
+    # ``_tokenize`` walks ``finditer``, which would skip a character that
+    # starts no token kind: the matches must run on from each other to the end
+    for pattern in (_TOKEN, OLD_TOKEN):
+        end = 0
+        for m in pattern.finditer(text):
+            assert m.start() == end < m.end(), (pattern is OLD_TOKEN, m)
+            end = m.end()
+        assert end == len(text)
 
 
 # the table the writer escaped string literals with before ``_escape``
