@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .model import Iri
+from .model import HTML_TEXT, Iri
 from .site import SiteManifest, generate_site, write_manifest
 from .server import NegotiationServer, Snapshot
 from .turtle import TurtleSyntaxError, parse_turtle
@@ -42,6 +42,8 @@ class CliConfig:
         try:
             Iri(self.namespace().scheme_uri())
             urlsplit(self.base)
+            if not HTML_TEXT.fullmatch(self.base):
+                raise ValueError("holds a code point HTML forbids")
         except ValueError as exc:
             raise ValueError(f"--base {self.base!r}: {exc}") from None
 

@@ -10,6 +10,11 @@ from typing import Iterable, Iterator, Optional, Union
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\\s]')  # IRIREF's (W3C Turtle §6.5), and whitespace
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _LANG = re.compile(r"[a-z]{2,3}(-[A-Z]{2})?")  # used with fullmatch: "$" matches before a final "\n"
+# a run of code points none of which the HTML standard makes a parse error in the input stream
+# (those are controls other than ASCII whitespace, and noncharacters); it lists what is allowed,
+# so a BMP code point costs one table lookup, not one comparison per astral range
+HTML_TEXT = re.compile(r"[\t\n\x0c\r\x20-\x7e\xa0-\ufdcf\ufdf0-\ufffd" + "".join(
+    f"{chr(p)}-{chr(p + 0xFFFD)}" for p in range(0x10000, 0x110000, 0x10000)) + "]*")
 
 
 @dataclass(frozen=True, order=True)

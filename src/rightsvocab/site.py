@@ -12,7 +12,7 @@ import html as html_mod
 import itertools
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -62,70 +62,87 @@ class SiteManifest:
         self.entries[path] = SiteEntry(content, media_type, language)
 
 
-_TYPE = Iri(RDF_TYPE)
-_PERMISSION, _ACTION, _CONSTRAINT, _OPERATOR, _PURPOSE = (
-    Iri(ODRL + local) for local in ("permission", "action", "constraint", "operator", "purpose")
-)
-
-
-def record_to_graph(
-    r: StatementRecord,
-    cfg: NamespaceConfig = DEFAULT_CONFIG,
-    counter=None,
-) -> Graph:
-    """Re-express a record's fields as triples."""
-    if counter is None:
-        counter = itertools.count()
-    subject = Iri(build_statement_uri(r.uri, cfg))
-    triples = [Triple(subject, _TYPE, RIGHTS_STATEMENT_CLASS)]
-    for lang, text in r.pref_labels.items():
-        triples.append(Triple(subject, PREF_LABEL, Literal(text, lang=lang)))
-    for lang, text in r.definitions.items():
-        triples.append(Triple(subject, DEFINITION, Literal(text, lang=lang)))
-    for lang, text in r.notes.items():
-        triples.append(Triple(subject, SCOPE_NOTE, Literal(text, lang=lang)))
-    if r.creator:
-        triples.append(Triple(subject, CREATOR, Literal(r.creator)))
-    triples.append(Triple(subject, HAS_VERSION, Literal(r.uri.version)))
-    triples.append(Triple(subject, MODIFIED, Literal(r.modified)))
-    triples.append(Triple(subject, IDENTIFIER, Literal(r.uri.name)))
-    if r.jurisdiction:
-        triples.append(Triple(subject, COVERAGE, Literal(r.jurisdiction)))
-    for m in r.matches:
-        triples.append(Triple(subject, Iri(SKOS + m.relation), m.target))
-    for perm in r.permissions:
-        pnode = BlankNode(f"p{next(counter)}")
-        triples.append(Triple(subject, _PERMISSION, pnode))
-        triples.append(Triple(pnode, _ACTION, perm.action))
-        for c in perm.constraints:
-            cnode = BlankNode(f"p{next(counter)}")
-            triples.append(Triple(pnode, _CONSTRAINT, cnode))
-            triples.append(Triple(cnode, _OPERATOR, c.operator))
-            triples.append(Triple(cnode, _PURPOSE, c.purpose))
-    return Graph(triples)
-
-
-def vocabulary_to_graph(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Graph:
-    """The whole vocabulary as one graph, whose documents are ``rs/data.*``."""
-    counter = itertools.count()
-    triples = [Triple(v.scheme_uri, _TYPE, CONCEPT_SCHEME_CLASS)]
-    triples += [Triple(v.scheme_uri, TITLE, Literal(text, lang=lang)) for lang, text in v.title.items()]
-    for key in sorted(v.statements):
-        triples.extend(record_to_graph(v.statements[key], cfg, counter))
-    return Graph(triples)
-
-
-# --- statement documents straight from the record --------------------------
-
 @functools.lru_cache(maxsize=256)
 def _lang_tag(tag: str) -> str:
     """``tag`` as a ``Literal`` holds it: normalized, or refused with ``ValueError``."""
     return Literal("", lang=tag).lang
 
 
+def statement_rows(r: StatementRecord, counter) -> dict[str, list]:
+    """The triples ``r`` yields about its statement URI: each predicate IRI
+    maps to its objects, in ``term_sort_key`` order and without repeats.  An
+    object is an ``Iri``, a ``(text, language or None)`` literal or a blank
+    node ``(label, rows)``, whose ``p{n}`` label is drawn from ``counter``."""
+    rows: dict[str, list] = {RDF_TYPE: [RIGHTS_STATEMENT_CLASS]}
+    for pred, texts in ((PREF_LABEL, r.pref_labels), (DEFINITION, r.definitions),
+                        (SCOPE_NOTE, r.notes)):
+        if texts:  # a set: two spellings of one tag with one text make one triple
+            rows[pred.value] = sorted({(text, _lang_tag(lang)) for lang, text in texts.items()})
+    # None marks a literal left out; an empty creator or jurisdiction is unset
+    for pred, text in ((CREATOR, r.creator or None), (HAS_VERSION, r.uri.version),
+                       (MODIFIED, r.modified), (IDENTIFIER, r.uri.name),
+                       (COVERAGE, r.jurisdiction or None)):
+        if text is not None:
+            rows[pred.value] = [(text, None)]
+    targets: dict[str, set[Iri]] = {}
+    for m in r.matches:  # an Iri: a relation that makes no IRI raises ValueError
+        targets.setdefault(Iri(SKOS + m.relation).value, set()).add(m.target)
+    rows.update((pred, sorted(iris, key=str)) for pred, iris in targets.items())
+    perms = []
+    for perm in r.permissions:
+        label = f"p{next(counter)}"  # before its constraints'
+        prow: dict[str, list] = {ODRL + "action": [perm.action]}
+        if perm.constraints:
+            prow[ODRL + "constraint"] = sorted(
+                ((f"p{next(counter)}", {ODRL + "operator": [c.operator], ODRL + "purpose": [c.purpose]})
+                 for c in perm.constraints), key=itemgetter(0))
+        perms.append((label, prow))
+    if perms:
+        rows[ODRL + "permission"] = sorted(perms, key=itemgetter(0))
+    return rows
+
+
+def scheme_rows(v: Vocabulary) -> dict[str, list]:
+    """The ConceptScheme's triples as ``statement_rows`` gives a statement's."""
+    rows: dict[str, list] = {RDF_TYPE: [CONCEPT_SCHEME_CLASS]}
+    if v.title:
+        rows[TITLE.value] = sorted({(text, _lang_tag(lang)) for lang, text in v.title.items()})
+    return rows
+
+
+def _triples(subject, rows: dict[str, list]) -> list[Triple]:
+    """The triples of ``subject``'s ``rows``, each blank node's after the one naming it."""
+    out = []
+    for p, objs in rows.items():
+        for o in objs:
+            obj = o if isinstance(o, Iri) else BlankNode(o[0]) if isinstance(o[1], dict) else Literal(*o)
+            out.append(Triple(subject, Iri(p), obj))
+            if isinstance(obj, BlankNode):
+                out += _triples(obj, o[1])
+    return out
+
+
+def record_to_graph(r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG,
+                    counter=None) -> Graph:
+    """Re-express a record's fields as triples."""
+    counter = itertools.count() if counter is None else counter
+    return Graph(_triples(Iri(build_statement_uri(r.uri, cfg)), statement_rows(r, counter)))
+
+
+def vocabulary_to_graph(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> Graph:
+    """The whole vocabulary as one graph, whose documents are ``rs/data.*``."""
+    counter = itertools.count()
+    triples = _triples(v.scheme_uri, scheme_rows(v))
+    for key in sorted(v.statements):
+        triples.extend(record_to_graph(v.statements[key], cfg, counter))
+    return Graph(triples)
+
+
+# --- documents straight from the rows ---------------------------------------
+
 @dataclass(frozen=True)
 class _Node:
-    """A statement's subject or one of its blank nodes, as both writers need it."""
+    """A subject, an IRI or a blank node, as both writers need it."""
 
     ref: str  # the subject's IRI, or the blank node's ``p{n}`` label
     turtle: str  # the predicate-object list, each line led by a newline and the indent
@@ -134,9 +151,8 @@ class _Node:
 
 
 def _write_node(ref: str, rows: dict[str, list], indent: int) -> _Node:
-    """``rows`` maps each predicate IRI to its objects, in ``term_sort_key``
-    order and without repeats: ``Iri``s, ``(text, language or None)``
-    literals, or the blank ``_Node``s written one level deeper."""
+    """The node of ``ref``, whose ``rows`` are as ``statement_rows`` gives
+    them; its blank nodes are written one level deeper."""
     pad = "\n" + "    " * indent
     items: list[str] = []
     keys: dict[str, str] = {}
@@ -144,13 +160,14 @@ def _write_node(ref: str, rows: dict[str, list], indent: int) -> _Node:
     for p in sorted(rows):  # Turtle's predicate order; the JSON-LD writer sorts its keys itself
         objs = rows[p]
         head, key = ("a", "@type") if p == RDF_TYPE else (_shrink_iri(p), _compact(p))
-        if isinstance(objs[0], _Node):
-            items += [f"{head} [{o.turtle}{pad}]" for o in objs]
-            blank[key] = tuple(objs)
-        elif isinstance(objs[0], Iri):
+        if isinstance(objs[0], Iri):
             items += [f"{head} {_shrink_iri(o.value)}" for o in objs]
             values = [_compact(o.value) if p == RDF_TYPE else (("@id", o.value),) for o in objs]
             keys[key] = key_text(key, sorted(values, key=_value_key))
+        elif isinstance(objs[0][1], dict):
+            children = tuple(_write_node(label, sub, indent + 1) for label, sub in objs)
+            items += [f"{head} [{c.turtle}{pad}]" for c in children]
+            blank[key] = children
         else:
             items += [f'{head} "{_escape(text)}"' + (f"@{lang}" if lang else "") for text, lang in objs]
             keys[key] = key_text(key, _literal_values(objs))
@@ -173,105 +190,63 @@ def _literal_values(objs: list[tuple[str, Optional[str]]]) -> list[tuple]:
 _TURTLE_HEAD = (PREFIXES + "\n\n").encode()
 
 
-class StatementDocuments:
-    """A statement's Turtle block and JSON-LD nodes, UTF-8 encoded and
-    written straight from its record: the documents ``serialize_turtle`` and
-    ``serialize_jsonld`` give ``record_to_graph(r, cfg, counter)``, whose
-    ``p{n}`` labels are drawn from ``counter`` in the same order."""
-
-    def __init__(self, r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG, counter=None):
-        counter = itertools.count() if counter is None else counter
-        rows: dict[str, list] = {RDF_TYPE: [RIGHTS_STATEMENT_CLASS]}
-        for pred, texts in ((PREF_LABEL, r.pref_labels), (DEFINITION, r.definitions),
-                            (SCOPE_NOTE, r.notes)):
-            if texts:  # a set: two spellings of one tag with one text make one triple
-                rows[pred.value] = sorted({(text, _lang_tag(lang)) for lang, text in texts.items()})
-        # None marks a literal left out; an empty creator or jurisdiction is unset
-        for pred, text in ((CREATOR, r.creator or None), (HAS_VERSION, r.uri.version),
-                           (MODIFIED, r.modified), (IDENTIFIER, r.uri.name),
-                           (COVERAGE, r.jurisdiction or None)):
-            if text is not None:
-                rows[pred.value] = [(text, None)]
-        targets: dict[str, set[Iri]] = {}
-        for m in r.matches:
-            targets.setdefault(Iri(SKOS + m.relation).value, set()).add(m.target)
-        for pred, iris in targets.items():
-            rows[pred] = sorted(iris, key=str)
-        perms = []
-        for perm in r.permissions:
-            label = f"p{next(counter)}"  # before its constraints', as record_to_graph draws them
-            prow: dict[str, list] = {_ACTION.value: [perm.action]}
-            constraints = [_write_node(f"p{next(counter)}", {_OPERATOR.value: [c.operator],
-                                                              _PURPOSE.value: [c.purpose]}, 3)
-                           for c in perm.constraints]
-            if constraints:
-                prow[_CONSTRAINT.value] = sorted(constraints, key=attrgetter("ref"))
-            perms.append(_write_node(label, prow, 2))
-        if perms:
-            rows[_PERMISSION.value] = sorted(perms, key=attrgetter("ref"))
-        self.iri = Iri(build_statement_uri(r.uri, cfg)).value
-        self.root = _write_node(self.iri, rows, 1)
-        self.block = (_shrink_iri(self.iri) + self.root.turtle + " .").encode()
-
-    @property
-    def blank_nodes(self) -> bool:
-        """Whether the statement has blank nodes: if not, its JSON-LD is the
-        same under any names."""
-        return bool(self.root.blank)
-
-    def turtle(self) -> bytes:
-        """The statement's own ``data.ttl``: its one block, blank nodes inlined."""
-        return _TURTLE_HEAD + self.block + b"\n"
-
-    def jsonld_nodes(self, names: dict[str, str]) -> dict[str, bytes]:
-        """The text of each JSON-LD node by ``@id``, under ``names``, which
-        maps each ``p{n}`` label to its display name."""
-        texts: dict[str, bytes] = {}
-
-        def add(n: _Node, node_id: str) -> None:
-            keys = n.keys
-            if n.blank:
-                keys = dict(keys)
-                for key, children in n.blank.items():
-                    ids = ["_:" + names[c.ref] for c in children]
-                    keys[key] = key_text(key, sorted([(("@id", i),) for i in ids], key=_value_key))
-                    for c, i in zip(children, ids):
-                        add(c, i)
-            texts[node_id] = node_text(node_id, keys).encode()
-
-        add(self.root, self.iri)
-        return texts
+def statement_node(r: StatementRecord, cfg: NamespaceConfig = DEFAULT_CONFIG,
+                   counter=None) -> _Node:
+    """The node of ``r``'s statement URI, whose ``turtle_block`` and
+    ``jsonld_nodes`` are the documents ``serialize_turtle`` and
+    ``serialize_jsonld`` give ``record_to_graph(r, cfg, counter)``."""
+    counter = itertools.count() if counter is None else counter
+    return _write_node(Iri(build_statement_uri(r.uri, cfg)).value, statement_rows(r, counter), 1)
 
 
-def blank_names(docs: list[StatementDocuments]) -> dict[str, str]:
-    """``display_names`` of the graph of ``docs``, given in IRI order, by
+def turtle_block(n: _Node) -> bytes:
+    """The Turtle statement of ``n``, its blank nodes inlined, UTF-8 encoded."""
+    return (_shrink_iri(n.ref) + n.turtle + " .").encode()
+
+
+def jsonld_nodes(n: _Node, names: dict[str, str]) -> dict[str, bytes]:
+    """The UTF-8 text of each JSON-LD node of ``n`` by ``@id``, under
+    ``names``, which maps each ``p{n}`` label to its display name."""
+    texts: dict[str, bytes] = {}
+
+    def add(node: _Node, node_id: str) -> None:
+        keys = node.keys
+        if node.blank:
+            keys = dict(keys)
+            for key, children in node.blank.items():
+                ids = ["_:" + names[c.ref] for c in children]
+                keys[key] = key_text(key, sorted([(("@id", i),) for i in ids], key=_value_key))
+                for c, i in zip(children, ids):
+                    add(c, i)
+        texts[node_id] = node_text(node_id, keys).encode()
+
+    add(n, n.ref)
+    return texts
+
+
+def blank_names(roots: list[_Node]) -> dict[str, str]:
+    """``display_names`` of the graph of ``roots``, given in IRI order, by
     ``p{n}`` label.  In that graph's triple order each subject's blank nodes
     come in its own triples, and every blank subject, in label order as
     text, after every IRI subject."""
     names: dict[str, str] = {}
     subjects: dict[str, _Node] = {}
 
-    def name(n: _Node) -> None:
-        if n.ref not in names:
-            names[n.ref] = f"b{len(names)}"
+    def name_children(n: _Node) -> None:
+        for c in itertools.chain(*n.blank.values()):
+            names.setdefault(c.ref, f"b{len(names)}")
 
     def visit(n: _Node) -> None:
-        for children in n.blank.values():
-            for c in children:
-                subjects[c.ref] = c
-                visit(c)
+        for c in itertools.chain(*n.blank.values()):
+            subjects[c.ref] = c
+            visit(c)
 
-    for d in docs:
-        for children in d.root.blank.values():
-            for c in children:
-                name(c)
-        visit(d.root)
+    for root in roots:
+        name_children(root)
+        visit(root)
     for label in sorted(subjects):
-        n = subjects[label]
-        name(n)
-        for children in n.blank.values():
-            for c in children:
-                name(c)
+        names.setdefault(label, f"b{len(names)}")
+        name_children(subjects[label])
     return names
 
 
@@ -418,8 +393,9 @@ def render_overview_html(
 
 def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteManifest:
     """Every document.  A statement's ``data.ttl`` and ``data.jsonld`` are
-    written straight from its record; ``rs/data.*`` are spliced from the same
-    Turtle blocks, and from JSON-LD nodes under the whole document's names.
+    written from its ``statement_node``; ``rs/data.*`` are spliced from the
+    blocks and JSON-LD nodes of every root, the scheme's among them, and a
+    root with blank nodes is written again under the whole document's names.
 
     Work repeated across documents is done once per call: each statement's
     language-independent markup and the overview's rows.  Two keys whose
@@ -428,28 +404,24 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
     manifest = SiteManifest()
     counter = itertools.count()
     all_langs: set[str] = set(v.title) | {"en"}
-    scheme = v.scheme_uri.value
-    scheme_rows: dict[str, list] = {RDF_TYPE: [CONCEPT_SCHEME_CLASS]}
-    if v.title:  # a set, as for a statement's labels
-        scheme_rows[TITLE.value] = sorted({(text, _lang_tag(lang)) for lang, text in v.title.items()})
-    node = _write_node(scheme, scheme_rows, 1)
-    blocks = {scheme: (_shrink_iri(scheme) + node.turtle + " .").encode()}
-    nodes = {scheme: node_text(scheme, node.keys).encode()}
+    scheme = _write_node(v.scheme_uri.value, scheme_rows(v), 1)
+    blocks = {scheme.ref: turtle_block(scheme)}
+    nodes = jsonld_nodes(scheme, {})
     key_of: dict[str, str] = {}  # statement IRI -> its key
-    blank: dict[str, StatementDocuments] = {}  # the statements with blank nodes, by IRI
+    blank: dict[str, _Node] = {}  # the statements with blank nodes, by IRI
     for key in sorted(v.statements):
         r = v.statements[key]
-        d = StatementDocuments(r, cfg, counter)
-        if d.iri in key_of:
-            raise ValueError(f"keys {key_of[d.iri]!r} and {key!r} hold one statement URI {d.iri}")
-        key_of[d.iri] = key
+        node = statement_node(r, cfg, counter)
+        if node.ref in key_of:
+            raise ValueError(f"keys {key_of[node.ref]!r} and {key!r} hold one statement URI {node.ref}")
+        key_of[node.ref] = key
         base = statement_dir(r)
-        manifest.add(base + "data.ttl", d.turtle(), "text/turtle")
-        own = d.jsonld_nodes(blank_names([d]))
+        blocks[node.ref] = turtle_block(node)
+        manifest.add(base + "data.ttl", _TURTLE_HEAD + blocks[node.ref] + b"\n", "text/turtle")
+        own = jsonld_nodes(node, blank_names([node]))
         manifest.add(base + "data.jsonld", encoded_document(own), "application/ld+json")
-        blocks[d.iri] = d.block
-        if d.blank_nodes:
-            blank[d.iri] = d
+        if node.blank:
+            blank[node.ref] = node
         else:
             nodes.update(own)
         parts = statement_parts(r, cfg)
@@ -463,11 +435,11 @@ def generate_site(v: Vocabulary, cfg: NamespaceConfig = DEFAULT_CONFIG) -> SiteM
         all_langs.update(r.languages())
     turtle = [PREFIXES.encode()] + [blocks[s] for s in sorted(blocks)]
     manifest.add("rs/data.ttl", b"\n\n".join(turtle) + b"\n", "text/turtle")
-    # the other statements name no blank node, and their nodes are in place
+    # the other roots name no blank node, and their nodes are in place
     ordered = [blank[iri] for iri in sorted(blank)]
     names = blank_names(ordered)
-    for d in ordered:
-        nodes.update(d.jsonld_nodes(names))
+    for node in ordered:
+        nodes.update(jsonld_nodes(node, names))
     manifest.add("rs/data.jsonld", encoded_document(nodes), "application/ld+json")
     rows = overview_rows(v)
     for lang in sorted(all_langs):

@@ -6,7 +6,7 @@ import datetime
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import BlankNode, Graph, Iri, Literal, Term
+from .model import HTML_TEXT, BlankNode, Graph, Iri, Literal, Term
 from .namespaces import CC, DC11, DCTERMS, EDM, ODRL_ALIASES, RDF_TYPE, SKOS
 from .uris import (
     DEFAULT_CONFIG,
@@ -139,6 +139,12 @@ def _single_plain(props: Props, predicate: Iri) -> Optional[str]:
     return values[0].lexical if values else None
 
 
+def _refuse_html_forbidden(report, name: str, texts) -> None:
+    for text in texts:
+        if (end := HTML_TEXT.match(text).end()) < len(text):
+            report.error("R11", name, f"{text!r} holds U+{ord(text[end]):04X}, which HTML forbids")
+
+
 def _parse_subject_uri(subject: Iri, g: Graph, cfg: NamespaceConfig) -> StatementUri:
     """Parse a statement subject, filling in a missing version segment
     from dcterms:hasVersion (the canonical example omits it)."""
@@ -205,6 +211,7 @@ def load_vocabulary(
             for obj in _by_predicate(g, t.subject).get(TITLE.value, ()):
                 if isinstance(obj, Literal) and obj.lang:
                     title[obj.lang] = obj.lexical
+    _refuse_html_forbidden(report, "scheme", [scheme_uri.value, *title.values()])
 
     # candidate statements: in-namespace subjects with any assertions
     candidates: dict[Iri, StatementUri] = {}
@@ -213,8 +220,10 @@ def load_vocabulary(
             continue
         try:
             candidates[subject] = _parse_subject_uri(subject, g, cfg)
-        except UriError:
+        except NotInNamespaceError:
             continue
+        except UriError as exc:  # in the namespace: a statement, had its URI parsed
+            report.error("R1", subject.value, f"not a statement URI: {exc}")
 
     statements: dict[str, StatementRecord] = {}
     for subject, parsed in candidates.items():  # in IRI order, as g.subjects() gives them
@@ -297,6 +306,10 @@ def load_vocabulary(
             notes=notes,
             jurisdiction=jurisdiction,
         )
+        _refuse_html_forbidden(report, name, [
+            record.creator, *pref_labels.values(), *definitions.values(), *notes.values(),
+            *(m.target.value for m in matches), *(p.action.value for p in permissions),
+            *(i.value for p in permissions for c in p.constraints for i in (c.operator, c.purpose))])
         key = build_statement_uri(record.uri, cfg)
         if key in statements:
             report.error("R9", name, f"duplicate canonical URI {key}")

@@ -24,6 +24,8 @@ package builds, kept apart from the package because no command needs them.
 - ``render_statement_html`` and ``render_overview_html`` are the page
   writers as they were before ``generate_site`` escaped a statement's
   language-independent markup once for all of its pages.
+- ``html_forbids`` is the set of code points ``model.HTML_TEXT`` leaves out,
+  spelled as the HTML standard lists them.
 """
 
 from __future__ import annotations
@@ -419,6 +421,16 @@ def old_load_vocabulary(
                     if isinstance(obj, Literal) and obj.lang:
                         title[obj.lang] = obj.lexical
     return dataclasses.replace(vocab, scheme_uri=scheme_uri, title=title), report
+
+
+# --- the code points whose presence in an HTML input stream is a parse error
+
+def html_forbids(c: str) -> bool:
+    """Whether ``c`` is a control other than ASCII whitespace or a noncharacter
+    (HTML Living Standard, "Preprocessing the input stream")."""
+    o = ord(c)
+    control = o <= 0x1F or 0x7F <= o <= 0x9F
+    return (control and c not in "\t\n\x0c\r") or 0xFDD0 <= o <= 0xFDEF or o & 0xFFFE == 0xFFFE
 
 
 # --- negotiation without the snapshot's memo tables -------------------------

@@ -173,9 +173,11 @@ def test_build_unwritable_out_dir_is_exit_2(tmp_path, capsys):
     ["--base", "http://example.org/a b", "validate", VOCAB],
     ["--base", "http://[x", "validate", VOCAB],
     ["--base", "http://example.org/{x}", "validate", VOCAB],
+    ["--base", "http://example.org/\x7f", "validate", VOCAB],
+    ["--base", "http://example.org/\U0010ffff", "validate", VOCAB],
     ["serve", VOCAB, "--port", "99999"],
 ], ids=["empty-base", "base-without-scheme", "base-with-space", "base-bad-ipv6", "base-with-brace",
-        "port-out-of-range"])
+        "base-with-delete", "base-with-noncharacter", "port-out-of-range"])
 def test_odd_flags_exit_2_with_one_error_line(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

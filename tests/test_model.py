@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rightsvocab.model import (
+    HTML_TEXT,
     BlankNode,
     Graph,
     Iri,
@@ -11,6 +12,8 @@ from rightsvocab.model import (
     term_sort_key,
     triple_sort_key,
 )
+
+from oracles import html_forbids
 
 # IRIs and blank nodes are drawn from the same few strings, so an `Iri` and a
 # `BlankNode` with the same text (equal hashes, unequal terms) often meet.
@@ -122,3 +125,14 @@ def test_iri_refuses_what_turtle_forbids_in_an_iri():
 def test_iri_takes_the_other_characters_turtle_reads():
     for c in "!#$%&'()*+,-./:;=?@[]~\x7fé😀":
         assert Iri(f"http://example.org/a{c}b").value == f"http://example.org/a{c}b"
+
+
+# each edge of the ranges HTML_TEXT takes or leaves out
+_HTML_EDGES = ("\x00\x08\t\n\x0b\x0c\r\x0e\x1f \x7e\x7f\x9f\xa0\ufdcf\ufdd0\ufdef\ufdf0\ufffd\ufffe"
+               "\uffff\U00010000\U0001fffd\U0001fffe\U0001ffff\U00020000\U0010fffd\U0010fffe\U0010ffff")
+
+
+@given(st.text(st.characters() | st.sampled_from(_HTML_EDGES)))
+def test_html_text_stops_at_the_first_code_point_html_forbids(text):
+    first = next((i for i, c in enumerate(text) if html_forbids(c)), len(text))
+    assert HTML_TEXT.match(text).end() == first

@@ -24,13 +24,16 @@ from rightsvocab import (
 )
 from rightsvocab.jsonld import _value_key, encoded_document
 from rightsvocab.namespaces import ODRL, SKOS
+from rightsvocab.turtle import PREFIXES
 from rightsvocab.site import (
     SiteManifest,
-    StatementDocuments,
     blank_names,
+    jsonld_nodes,
     record_to_graph,
     statement_dir,
+    statement_node,
     statement_parts,
+    turtle_block,
     vocabulary_to_graph,
     write_manifest,
 )
@@ -409,10 +412,10 @@ def test_statement_documents_equal_the_graph_writers(r, cfg, start):
     # The example repeats a match and spells a tag twice: with one text the
     # graph keeps one triple, and with two the JSON-LD orders them by their
     # JSON text ("\u00e9" before "f"), the Turtle by the text itself
-    d = StatementDocuments(r, cfg, itertools.count(start))
+    n = statement_node(r, cfg, itertools.count(start))
     g = record_to_graph(r, cfg, itertools.count(start))
-    assert d.turtle() == serialize_turtle(g).encode()
-    assert encoded_document(d.jsonld_nodes(blank_names([d]))) == serialize_jsonld(g).encode()
+    assert (PREFIXES + "\n\n").encode() + turtle_block(n) + b"\n" == serialize_turtle(g).encode()
+    assert encoded_document(jsonld_nodes(n, blank_names([n]))) == serialize_jsonld(g).encode()
 
 
 @settings(deadline=None)
@@ -437,6 +440,22 @@ def test_generated_documents_equal_the_graph_writers(records, title, scheme, cfg
     full = vocabulary_to_graph(v, cfg)
     assert entries["rs/data.ttl"] == serialize_turtle(full)
     assert entries["rs/data.jsonld"] == serialize_jsonld(full)
+
+
+def test_vocabulary_graph_is_the_input_graph(vocabulary_graph):
+    # the row table judged against the input: the writer checks above share its rows
+    vocab, report = load_vocabulary(vocabulary_graph)
+    assert report.accepted
+    assert graphs_isomorphic(vocabulary_to_graph(vocab), vocabulary_graph)
+
+
+def test_a_match_relation_that_makes_no_iri_is_refused(vocabulary):
+    record = vocabulary.statements["http://rightsstatements.org/rs/ic-edu/1.0/"]
+    bad = dataclasses.replace(record, matches=(MatchSpec("bad relation", Iri("http://example.org/a")),))
+    v = Vocabulary(vocabulary.scheme_uri, vocabulary.title, {"k": bad})
+    for write in (record_to_graph, statement_node, lambda r: generate_site(v)):
+        with pytest.raises(ValueError, match="whitespace"):
+            write(bad)
 
 
 def test_two_keys_with_one_statement_uri_are_refused(vocabulary):

@@ -1,14 +1,19 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rightsvocab import (
     Graph,
     Iri,
     Literal,
     Triple,
+    TurtleSyntaxError,
     check_object_references,
     diff_versions,
+    generate_site,
     load_vocabulary,
     lookup_statement,
     parse_turtle,
@@ -23,7 +28,7 @@ from rightsvocab.vocab import (
 )
 
 from conftest import fixture_text
-from oracles import graphs_isomorphic, old_load_vocabulary
+from oracles import graphs_isomorphic, html_forbids, old_load_vocabulary
 
 IC_EDU_KEY = "http://rightsstatements.org/rs/ic-edu/1.0/"
 
@@ -146,6 +151,61 @@ def test_coverage_with_a_final_newline_is_not_alpha_2():
     text = fixture_text("vocabulary.ttl").replace('dcterms:coverage "US"', 'dcterms:coverage "US\\n"')
     _, report = load_vocabulary(parse_turtle(text))
     assert ("R10", "pd", "dcterms:coverage 'US\\n' is not alpha-2") in report.errors
+
+
+def test_malformed_statement_uri_is_r1_not_a_dropped_statement():
+    text = fixture_text("vocabulary.ttl").replace("rs/ic-edu/1.0/", "rs/IC-edu/1.0/")
+    vocab, report = load_vocabulary(parse_turtle(text))
+    assert report.errors == [("R1", "http://rightsstatements.org/rs/IC-edu/1.0/",
+                              "not a statement URI: bad name: 'IC-edu'")]
+    assert len(vocab.statements) == 4
+
+
+# one of each literal and IRI a page carries, in the fixture, and the same
+# with "{}" where a code point goes: the scheme's title, a label, a
+# definition, a scope note, the creator, a match target and each permission IRI
+_PAGE_LITERALS = [
+    ('"Rechtenverklaringen"@nl', '"Rechten{}verklaringen"@nl', "scheme"),
+    ('"In Copyright"@en', '"In{}Copyright"@en', "ic"),
+    ('"This digital object is free of known copyright restrictions."@en', '"x{}"@en', "pd"),
+    ('"Applies to educational uses only."@en', '"{}"@en', "ic-edu"),
+    ('dc:creator "Digital', 'dc:creator "{}Digital', "ic"),
+]
+_PAGE_IRIS = [
+    ("<http://creativecommons.org/publicdomain/mark/1.0/>", "<http://example.org/{}>", "pd"),
+    ("odrl:action odrl:use", "odrl:action <http://example.org/{}>", "ic-edu"),
+    ("odrl:operator odrl:eq", "odrl:operator <http://example.org/{}>", "ic-edu"),
+    ("<http://rightsstatements.org/purpose/education>", "<http://example.org/{}>", "ic-edu"),
+]
+
+
+@pytest.mark.parametrize("old, new, subject, char", [
+    # the reader refuses an IRI holding U+0000-U+0020
+    (*term, char) for term in _PAGE_LITERALS + _PAGE_IRIS
+    for char in ["\x01", "\x7f", "\x9f", "\ufdd0", "\U0010ffff"][term in _PAGE_IRIS:]])
+def test_a_code_point_html_forbids_on_a_page_is_r11(old, new, subject, char):
+    text = fixture_text("vocabulary.ttl")
+    assert old in text
+    _, report = load_vocabulary(parse_turtle(text.replace(old, new.format(char), 1)))
+    assert [(rule, s) for rule, s, _ in report.errors] == [("R11", subject)]
+    assert f"holds U+{ord(char):04X}, which HTML forbids" in report.errors[0][2]
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+    ["\x00", "\x08", "\x0b", "\x0e", "\x7f", "\x80", "\x9f", "\ufdef", "\ufffe", "\U0001ffff",
+     "\t", "\x0c", "\xa0", "\ufdcf", "\ufffd", "\U0010fffd"])), min_size=1, max_size=3))
+def test_no_page_of_an_accepted_vocabulary_holds_a_code_point_html_forbids(inserts):
+    text = fixture_text("vocabulary.ttl")
+    inside = [i for m in re.finditer(r'"[^"\n]*"|<[^>\n]*>', text) for i in range(m.start() + 1, m.end())]
+    for i, char in sorted(((inside[k % len(inside)], char) for k, char in inserts), reverse=True):
+        text = text[:i] + char + text[i:]
+    try:
+        vocab, report = load_vocabulary(parse_turtle(text))
+    except TurtleSyntaxError:
+        return
+    if report.accepted:
+        for path, entry in generate_site(vocab).entries.items():
+            assert not any(map(html_forbids, entry.content.decode())), path
 
 
 def test_duplicate_canonical_uri_is_r9(vocabulary_graph):
